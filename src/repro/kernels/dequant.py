@@ -46,8 +46,10 @@ __all__ = [
     "int4_to_fp16_unpack",
     "broadcast_scales_vlut",
     "broadcast_scales_vsplat",
+    "dequant_span",
     "dequantize_stream",
     "scatter_conflict_factor",
+    "stream_weights",
 ]
 
 DEQUANT_STRATEGIES = ("baseline", "hmx_layout", "ours", "no_dequant")
@@ -147,7 +149,25 @@ class DequantOutput:
     n_elements: int
 
 
-def _dma_stream_weights(dma: Optional[DMAEngine], packed_bytes: int) -> None:
+def _packed_bytes(quantized: QuantizedWeight,
+                  packed: Optional[PackedWeight]) -> int:
+    return packed.data.size if packed is not None else quantized.storage_bytes
+
+
+def dequant_span(quantized: QuantizedWeight, strategy: str,
+                 packed: Optional[PackedWeight] = None):
+    """The ``kernel.dequant`` span of one pass over ``quantized``."""
+    groups = quantized.groups
+    return obs_trace.span("kernel.dequant", category="kernel",
+                          strategy=strategy, bits=groups.bits,
+                          n_elements=groups.n_elements,
+                          packed_bytes=_packed_bytes(quantized, packed))
+
+
+def stream_weights(dma: Optional[DMAEngine], quantized: QuantizedWeight,
+                   packed: Optional[PackedWeight] = None) -> None:
+    """Record the DMA that streams the packed weight from DDR into TCM."""
+    packed_bytes = _packed_bytes(quantized, packed)
     if dma is not None and packed_bytes > 0:
         dma.transfer_1d(packed_bytes, direction="ddr_to_tcm")
 
@@ -182,17 +202,13 @@ def dequantize_stream(quantized: QuantizedWeight, strategy: str,
         raise KernelError(
             f"unknown dequantization strategy {strategy!r}; expected one of "
             f"{DEQUANT_STRATEGIES}")
-    groups = quantized.groups
-    n_elements = groups.n_elements
-    packed_bytes = packed.data.size if packed is not None else quantized.storage_bytes
-    with obs_trace.span("kernel.dequant", category="kernel",
-                        strategy=strategy, bits=groups.bits,
-                        n_elements=n_elements, packed_bytes=packed_bytes):
-        _dma_stream_weights(dma, packed_bytes)
+    n_elements = quantized.groups.n_elements
+    with dequant_span(quantized, strategy, packed):
+        stream_weights(dma, quantized, packed)
 
         if strategy == "no_dequant":
             # stream quantized bytes through the vector unit untouched
-            n_vec = vectors_for_bytes(packed_bytes)
+            n_vec = vectors_for_bytes(_packed_bytes(quantized, packed))
             hvx.trace.record("vmem_ld", n_vec)
             hvx.trace.record("vmem_st", n_vec)
             return DequantOutput(weights_fp16=None, strategy=strategy,

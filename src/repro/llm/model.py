@@ -270,27 +270,34 @@ class NPUTransformer:
                         k[:, h] = rope_rotate(k[:, h], flat_pos,
                                               self._cos, self._sin)
 
+                    # one attention call over every (sequence, head)
+                    # slice; query head h reads KV head h // gqa_group
                     layer_cache = cache[layer_idx]
-                    attn_out = np.empty(
-                        (batch * n_new, cfg.n_heads, cfg.head_dim),
-                        dtype=np.float16)
+                    views = []
                     for b, seq in enumerate(sequences):
                         rows = slice(b * n_new, (b + 1) * n_new)
                         layer_cache.append(seq, k[rows], v[rows])
-                        keys, values = layer_cache.view(seq)
-                        kv_len = keys.shape[0]
-                        k_pos = np.arange(kv_len)
-                        q_pos = positions[b]
-                        for kv_head in range(cfg.n_kv_heads):
-                            heads = range(kv_head * cfg.gqa_group,
-                                          (kv_head + 1) * cfg.gqa_group)
-                            for h in heads:
-                                out, breakdown = self._attention(
-                                    q[rows, h], keys[:, kv_head],
-                                    values[:, kv_head],
-                                    q_positions=q_pos, k_positions=k_pos)
-                                attn_out[rows, h] = out
-                                cost.npu.merge(breakdown.total())
+                        views.append(layer_cache.view(seq))
+                    kv_lens = np.array([seq_keys.shape[0] for seq_keys, _ in views])
+                    keys = np.zeros((batch, int(kv_lens.max()), cfg.n_kv_heads,
+                                     cfg.head_dim), dtype=np.float16)
+                    values = np.zeros_like(keys)
+                    for b, (seq_keys, seq_values) in enumerate(views):
+                        keys[b, :kv_lens[b]] = seq_keys
+                        values[b, :kv_lens[b]] = seq_values
+                    q_stack = q.reshape(batch, n_new, cfg.n_heads,
+                                        cfg.head_dim).transpose(0, 2, 1, 3)
+                    out, breakdown = self._attention(
+                        q_stack.reshape(batch * cfg.n_heads, n_new,
+                                        cfg.head_dim),
+                        _per_query_head(keys, cfg.gqa_group),
+                        _per_query_head(values, cfg.gqa_group),
+                        q_positions=np.repeat(positions, cfg.n_heads, axis=0),
+                        k_positions=np.arange(keys.shape[1]),
+                        kv_lengths=np.repeat(kv_lens, cfg.n_heads))
+                    cost.npu.merge(breakdown.total())
+                    attn_out = out.reshape(batch, cfg.n_heads, n_new,
+                                           cfg.head_dim).transpose(0, 2, 1, 3)
 
                     attn_flat = attn_out.reshape(batch * n_new, cfg.q_dim)
                     o, c = self._gemm_q4(attn_flat, prepared["wo"])
@@ -346,6 +353,14 @@ class NPUTransformer:
             out.append({name: p.dequantized_matrix.astype(np.float32)
                         for name, p in prepared.items()})
         return out
+
+
+def _per_query_head(kv: np.ndarray, gqa_group: int) -> np.ndarray:
+    """``(batch, tokens, kv_heads, d)`` -> ``(batch * heads, tokens, d)``,
+    each KV head repeated for the ``gqa_group`` query heads that read it."""
+    batch, tokens, _, d = kv.shape
+    return np.repeat(kv.transpose(0, 2, 1, 3), gqa_group, axis=1).reshape(
+        batch * kv.shape[2] * gqa_group, tokens, d)
 
 
 def reference_forward(weights: TransformerWeights, tokens: np.ndarray,

@@ -72,16 +72,29 @@ def tile_unpermute(flat: np.ndarray) -> np.ndarray:
 
 
 def pad_to_tiles(matrix: np.ndarray) -> np.ndarray:
-    """Zero-pad a 2-D matrix so both dimensions are multiples of 32."""
+    """Zero-pad a matrix (or a stack of them) to whole 32x32 tiles.
+
+    The last two dimensions are padded to multiples of 32.  Each padded
+    matrix is column-major when its source matrix is only column-major,
+    as ``np.pad`` lays a 2-D copy out, because the tile memory order sets
+    how BLAS rounds each tile product (see :meth:`HMXUnit.gemm`).
+    """
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
+    if matrix.ndim < 2:
         raise TileShapeError(f"expected a 2-D matrix, got shape {matrix.shape}")
-    rows, cols = matrix.shape
+    *lead, rows, cols = matrix.shape
     pad_r = (-rows) % TILE_DIM
     pad_c = (-cols) % TILE_DIM
     if pad_r == 0 and pad_c == 0:
         return matrix
-    return np.pad(matrix, ((0, pad_r), (0, pad_c)))
+    first = matrix[(0,) * len(lead)].flags
+    if first.f_contiguous and not first.c_contiguous:
+        out = np.zeros((*lead, cols + pad_c, rows + pad_r),
+                       dtype=matrix.dtype).swapaxes(-1, -2)
+    else:
+        out = np.zeros((*lead, rows + pad_r, cols + pad_c), dtype=matrix.dtype)
+    out[..., :rows, :cols] = matrix
+    return out
 
 
 def matrix_to_hmx_layout(matrix: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
@@ -146,14 +159,26 @@ def hmx_layout_order(rows: int, cols: int) -> np.ndarray:
     return layout
 
 
+def _tiles(matrix: np.ndarray) -> np.ndarray:
+    """View a tile-aligned ``(..., R, C)`` contiguous matrix as
+    ``(..., R/32, C/32, 32, 32)`` tiles, each in the matrix's own
+    memory order (row- or column-major)."""
+    if matrix.strides[-2] < matrix.strides[-1]:
+        return _tiles(matrix.swapaxes(-1, -2)).swapaxes(-4, -3).swapaxes(-1, -2)
+    *lead, rows, cols = matrix.shape
+    return matrix.reshape(*lead, rows // TILE_DIM, TILE_DIM,
+                          cols // TILE_DIM, TILE_DIM).swapaxes(-3, -2)
+
+
 class HMXUnit:
     """The HMX matrix engine: tile MACs with FP32 accumulation.
 
     Each :meth:`tile_mac` multiplies a 32x32 FP16 activation tile by a
     32x32 FP16 weight tile and accumulates into an FP32 accumulator,
     which models the "higher-precision floating point numbers for
-    accumulation internally" noted in Section 5.2.1.  The trace records
-    one ``hmx_tile_mac`` per operation for the timing model.
+    accumulation internally" noted in Section 5.2.1.  :meth:`gemm` runs a
+    whole GEMM's tile MACs at once with the same arithmetic.  The trace
+    records one ``hmx_tile_mac`` per operation for the timing model.
     """
 
     def __init__(self, trace: Optional[InstructionTrace] = None) -> None:
@@ -196,6 +221,21 @@ class HMXUnit:
         self.trace.record("hmx_tile_out")
         return acc.astype(np.float16)
 
+    def accumulate(self, products: np.ndarray) -> np.ndarray:
+        """Sum FP32 tile products over their K-tile axis, in K order.
+
+        ``products`` holds ``(..., K tiles, 32, 32)`` tile products; each
+        ``(..., 32, 32)`` accumulator starts at zero and adds the products
+        in ascending K order, exactly as repeated :meth:`tile_mac` calls
+        do.  Records one ``hmx_tile_mac`` per product.
+        """
+        acc = np.zeros(products.shape[:-3] + products.shape[-2:],
+                       dtype=np.float32)
+        for tk in range(products.shape[-3]):
+            acc += products[..., tk, :, :]
+        self.trace.record("hmx_tile_mac", products.size // TILE_ELEMS)
+        return acc
+
     def gemm(self, activations: np.ndarray, weights: np.ndarray,
              out_dtype: np.dtype = np.float16) -> np.ndarray:
         """Full GEMM ``activations @ weights`` through tile decomposition.
@@ -205,35 +245,36 @@ class HMXUnit:
         grow as ``ceil(m/32) * ceil(k/32) * ceil(n/32)``, which is why a
         single-token decode (m=1) wastes 31/32 of the activation tile —
         the underutilization the paper's test-time scaling exploits.
+
+        Operands may carry equal leading dimensions, ``(..., m, k) @
+        (..., k, n)``: one independent GEMM per leading index.  Every
+        tile product of the call runs in one batched matmul, then
+        :meth:`accumulate` sums them over K.  Each product reaches BLAS
+        as its own 32x32 matrix in the memory order the tile has in its
+        operand (column-major tiles for ``k.T``-style operands), because
+        BLAS rounds a transposed operand, and a larger M, differently.
         """
         a = np.asarray(activations, dtype=np.float16)
         w = np.asarray(weights, dtype=np.float16)
-        if a.ndim != 2 or w.ndim != 2:
-            raise TileShapeError("gemm expects 2-D operands")
-        if a.shape[1] != w.shape[0]:
+        if a.ndim < 2 or w.ndim != a.ndim or a.shape[:-2] != w.shape[:-2]:
+            raise TileShapeError(
+                f"gemm expects 2-D operands (or equal stacks of them), got "
+                f"{a.shape} and {w.shape}")
+        if a.shape[-1] != w.shape[-2]:
             raise TileShapeError(
                 f"inner dimensions differ: {a.shape} @ {w.shape}")
-        m, k = a.shape
-        n = w.shape[1]
-        a_pad = pad_to_tiles(a)
-        w_pad = pad_to_tiles(w)
-        tiles_m = a_pad.shape[0] // TILE_DIM
-        tiles_k = a_pad.shape[1] // TILE_DIM
-        tiles_n = w_pad.shape[1] // TILE_DIM
-        out = np.zeros((a_pad.shape[0], w_pad.shape[1]), dtype=np.float32)
-        for tm in range(tiles_m):
-            for tn in range(tiles_n):
-                acc = np.zeros((TILE_DIM, TILE_DIM), dtype=np.float32)
-                for tk in range(tiles_k):
-                    at = a_pad[tm * TILE_DIM:(tm + 1) * TILE_DIM,
-                               tk * TILE_DIM:(tk + 1) * TILE_DIM]
-                    wt = w_pad[tk * TILE_DIM:(tk + 1) * TILE_DIM,
-                               tn * TILE_DIM:(tn + 1) * TILE_DIM]
-                    self.tile_mac(at, wt, acc)
-                out[tm * TILE_DIM:(tm + 1) * TILE_DIM,
-                    tn * TILE_DIM:(tn + 1) * TILE_DIM] = acc
-                self.trace.record("hmx_tile_out")
-        return out[:m, :n].astype(out_dtype)
+        m, n = a.shape[-2], w.shape[-1]
+        a_tiles = _tiles(pad_to_tiles(a).astype(np.float32))
+        w_tiles = _tiles(pad_to_tiles(w).astype(np.float32))
+        # (..., M tiles, N tiles, K tiles, 32, 32): every tile product
+        products = np.matmul(a_tiles[..., :, None, :, :, :],
+                             w_tiles.swapaxes(-4, -3)[..., None, :, :, :, :])
+        acc = self.accumulate(products)
+        self.trace.record("hmx_tile_out", acc.size // TILE_ELEMS)
+        tiles_m, tiles_n = acc.shape[-4], acc.shape[-3]
+        out = acc.swapaxes(-3, -2).reshape(
+            *acc.shape[:-4], tiles_m * TILE_DIM, tiles_n * TILE_DIM)
+        return out[..., :m, :n].astype(out_dtype)
 
     @staticmethod
     def tile_macs_for_gemm(m: int, k: int, n: int) -> int:

@@ -146,6 +146,35 @@ def _attention_case(method: str, seed: int) -> Dict:
 
 
 # ----------------------------------------------------------------------
+# cases: model logits
+# ----------------------------------------------------------------------
+@_register("model_logits", "npz",
+           "FP32 logits of the accuracy-probe model: a 128-token prompt "
+           "prefilled in 64-token chunks, then one batch-4 decode step")
+def _model_logits() -> Dict:
+    from ..harness.smallmodel import ACCURACY_MODEL_CONFIG
+    from ..llm import NPUTransformer, TransformerWeights
+
+    model = NPUTransformer(TransformerWeights.generate(ACCURACY_MODEL_CONFIG,
+                                                       seed=0))
+    rng = np.random.default_rng(2028)
+    prompt = rng.integers(1, ACCURACY_MODEL_CONFIG.vocab_size, 128)
+    cache = model.new_cache(batch=4, capacity=160)
+    chunks = [model.forward(prompt[None, start:start + 64], cache,
+                            sequences=[0])[0][0]
+              for start in (0, 64)]
+    # fork the prompt into every slot and cut three of them back, so one
+    # decode step attends over 129/121/101/41 keys: three padded KV
+    # lengths, two of them shared by sequences of different lengths
+    cache.fork(0, [1, 2, 3])
+    for seq, length in ((1, 120), (2, 100), (3, 40)):
+        cache.truncate(seq, length)
+    decode, _ = model.forward(np.array([[5], [17], [200], [301]]), cache)
+    return {"prefill_logits": np.concatenate(chunks, axis=0),
+            "decode_logits": decode[:, 0]}
+
+
+# ----------------------------------------------------------------------
 # cases: decode traces
 # ----------------------------------------------------------------------
 @_register("decode_tiny", "json",

@@ -18,20 +18,20 @@ GEMM_CONFIG = {"m": 16, "k": 64, "n": 32, "bits": 8,
 
 @pytest.fixture
 def perturb_one_tile_mac(monkeypatch):
-    """Add 0.125 to one accumulator element of the first tile MAC."""
-    original = HMXUnit.tile_mac
+    """Add 0.125 to one element of the first GEMM's first tile accumulator."""
+    original = HMXUnit.accumulate
     state = {"calls": 0}
 
-    def mutated(self, activation_tile, weight_tile, accumulator):
-        acc = original(self, activation_tile, weight_tile, accumulator)
+    def mutated(self, products):
+        acc = original(self, products)
         state["calls"] += 1
         if state["calls"] == 1:
-            # in place: gemm() accumulates through its own array and
-            # ignores the return value
-            acc[0, 0] += np.float32(0.125)
+            # in place: gemm() assembles its output from the returned
+            # accumulators, first tile first
+            acc[(0,) * acc.ndim] += np.float32(0.125)
         return acc
 
-    monkeypatch.setattr(HMXUnit, "tile_mac", mutated)
+    monkeypatch.setattr(HMXUnit, "accumulate", mutated)
     return state
 
 

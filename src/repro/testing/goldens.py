@@ -119,6 +119,33 @@ def _gemm_q8() -> Dict:
             "dequantized_weight": prepared.dequantized_matrix}
 
 
+@_register("awq_q4", "json",
+           "AWQ search on a 72x48 weight (padded to 96x64) and a 16-token "
+           "calibration batch, with its AoS-packed Q4 bytes")
+def _awq_q4() -> Dict:
+    from ..quant.awq import awq_quantize
+    from ..quant.coalesce import pack_aos_q4
+
+    rng = np.random.default_rng(2029)
+    weight = rng.normal(0.0, 0.125, (72, 48))
+    magnitudes = np.exp(rng.normal(0.0, 1.0, 72))
+    calibration = rng.normal(0.0, 1.0, (16, 72)) * magnitudes
+    result = awq_quantize(weight, calibration)
+    groups = result.quantized.groups
+    dequantized = result.dequantized_weight()
+
+    def digest(array: np.ndarray) -> str:
+        return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+    return {"alpha": result.alpha,
+            "reconstruction_error": result.reconstruction_error.hex(),
+            "codes_sha256": digest(groups.codes),
+            "scales_sha256": digest(groups.scales),
+            "dequantized_weight": f"{dequantized.dtype}{dequantized.shape}",
+            "dequantized_weight_sha256": digest(dequantized),
+            "packed_aos_sha256": digest(pack_aos_q4(groups).data)}
+
+
 @_register("attention_lut", "npz",
            "causal FlashAttention output, LUT exponent, 24 queries/40 keys")
 def _attention_lut() -> Dict:

@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import KernelError
 from ..obs import trace as obs_trace
 from ..npu.hvx import HVXContext, VECTOR_BYTES, vectors_for_bytes
-from ..npu.hmx import hmx_layout_order
+from ..npu.hmx import matrix_from_hmx_layout
 from ..npu.memory import DMAEngine
 from ..quant.codebooks import Codebook, Q4_0_CODEBOOK
 from ..quant.coalesce import PackedWeight, unpack_nibbles
@@ -247,13 +247,11 @@ def _dequant_baseline(quantized: QuantizedWeight, hvx: HVXContext,
 
     values = _groups_dequant_values(groups, codebook)  # column-major order
     rows, cols = quantized.padded_shape
-    # scatter each element to its position in the HMX tile layout
-    order = hmx_layout_order(rows, cols)
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    col_major_rm_index = (np.arange(rows * cols) % rows) * cols \
-        + (np.arange(rows * cols) // rows)
-    scatter_offsets = inverse[col_major_rm_index]
+    # scatter each element to its position in the HMX tile layout: the
+    # layout position of every matrix element, walked column by column
+    layout_position = matrix_from_hmx_layout(
+        np.arange(rows * cols, dtype=np.int64), (rows, cols))
+    scatter_offsets = layout_position.T.ravel()
     destination = np.empty(rows * cols, dtype=np.float16)
     hvx.vscatter(destination, scatter_offsets, values.ravel())
     # bank-conflict replays grow with the scattered column span

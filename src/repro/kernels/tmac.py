@@ -30,6 +30,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..errors import KernelError
+from ..npu.hmx import matrix_from_hmx_layout
 from ..npu.hvx import HVXContext, InstructionTrace, vectors_for_bytes
 from ..npu.memory import DMAEngine
 from ..npu.timing import KernelCost
@@ -68,19 +69,12 @@ class TMacGemv:
         if w.ndim != 2:
             raise KernelError(f"expected a weight matrix, got shape {w.shape}")
         quantized = quantize_tile_group(w, bits=4, group_size=self.group_size)
-        from ..quant.tile_quant import dequantize_weight
-        from ..npu.hmx import hmx_layout_order, pad_to_tiles
-
-        rows, cols = quantized.padded_shape
         # reconstruct the per-element codes and scales in matrix order
-        order = hmx_layout_order(rows, cols)
-        codes_flat = np.empty(rows * cols, dtype=np.uint8)
-        codes_flat[order] = quantized.groups.codes.ravel()
-        scales_flat = np.empty(rows * cols, dtype=np.float32)
-        scales_flat[order] = np.repeat(
-            quantized.groups.scales.astype(np.float32), self.group_size)
-        codes = codes_flat.reshape(rows, cols)
-        scales = scales_flat.reshape(rows, cols)
+        codes = matrix_from_hmx_layout(quantized.groups.codes,
+                                       quantized.padded_shape)
+        scales = matrix_from_hmx_layout(
+            np.repeat(quantized.groups.scales.astype(np.float32),
+                      self.group_size), quantized.padded_shape)
 
         bitplanes = np.stack([(codes >> b) & 1 for b in range(4)]) \
             .astype(np.int8)

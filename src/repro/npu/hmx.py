@@ -97,25 +97,37 @@ def pad_to_tiles(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+# A tile-aligned (R, C) matrix viewed as (R/32, 16, 2, C/32, 32) names
+# each element by (tile row, row pair, row in pair, tile column, column).
+# HMX memory order runs, outermost first, over tile columns, tile rows,
+# row pairs, columns and the row within the pair: Fig. 4b around
+# Fig. 4a, the order one tile_permute call per column-major tile gives.
+_TO_LAYOUT = (3, 0, 1, 4, 2)
+_FROM_LAYOUT = tuple(_TO_LAYOUT.index(axis) for axis in range(5))
+
+
+def _layout_axes(rows: int, cols: int) -> Tuple[int, ...]:
+    return (rows // TILE_DIM, TILE_DIM // 2, 2, cols // TILE_DIM, TILE_DIM)
+
+
+def _to_layout(padded: np.ndarray) -> np.ndarray:
+    """HMX memory order of a tile-aligned matrix, as a fresh flat array."""
+    axes = _layout_axes(*padded.shape)
+    return padded.reshape(axes).transpose(_TO_LAYOUT).ravel()
+
+
 def matrix_to_hmx_layout(matrix: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
     """Convert a matrix into the full HMX weight memory layout.
 
     The matrix is zero-padded to whole tiles; tiles are emitted in
     column-major order (Fig. 4b) and each tile is internally permuted
-    (Fig. 4a).  Returns ``(flat_layout, padded_shape)``.
+    (Fig. 4a).  Returns ``(flat_layout, padded_shape)``; the layout is a
+    new array, never a view of ``matrix``.
     """
     padded = pad_to_tiles(matrix)
-    rows, cols = padded.shape
-    tiles_r, tiles_c = rows // TILE_DIM, cols // TILE_DIM
-    out = np.empty(rows * cols, dtype=padded.dtype)
-    pos = 0
-    for tc in range(tiles_c):
-        for tr in range(tiles_r):
-            tile = padded[tr * TILE_DIM:(tr + 1) * TILE_DIM,
-                          tc * TILE_DIM:(tc + 1) * TILE_DIM]
-            out[pos:pos + TILE_ELEMS] = tile_permute(tile)
-            pos += TILE_ELEMS
-    return out, (rows, cols)
+    if padded.ndim != 2:
+        raise TileShapeError(f"expected a 2-D matrix, got shape {padded.shape}")
+    return _to_layout(padded), padded.shape
 
 
 def matrix_from_hmx_layout(flat: np.ndarray, padded_shape: Tuple[int, int],
@@ -131,15 +143,9 @@ def matrix_from_hmx_layout(flat: np.ndarray, padded_shape: Tuple[int, int],
     if flat.size != rows * cols:
         raise TileShapeError(
             f"layout buffer size {flat.size} does not match padded shape {padded_shape}")
-    tiles_r, tiles_c = rows // TILE_DIM, cols // TILE_DIM
-    out = np.empty((rows, cols), dtype=flat.dtype)
-    pos = 0
-    for tc in range(tiles_c):
-        for tr in range(tiles_r):
-            tile = tile_unpermute(flat[pos:pos + TILE_ELEMS])
-            out[tr * TILE_DIM:(tr + 1) * TILE_DIM,
-                tc * TILE_DIM:(tc + 1) * TILE_DIM] = tile
-            pos += TILE_ELEMS
+    axes = _layout_axes(rows, cols)
+    layout_axes = tuple(axes[i] for i in _TO_LAYOUT)
+    out = flat.reshape(layout_axes).transpose(_FROM_LAYOUT).reshape(rows, cols)
     if original_shape is not None:
         out = out[:original_shape[0], :original_shape[1]]
     return out
@@ -154,9 +160,7 @@ def hmx_layout_order(rows: int, cols: int) -> np.ndarray:
     """
     if rows % TILE_DIM or cols % TILE_DIM:
         raise TileShapeError(f"shape ({rows}, {cols}) must be tile-aligned")
-    index_matrix = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
-    layout, _ = matrix_to_hmx_layout(index_matrix)
-    return layout
+    return _to_layout(np.arange(rows * cols, dtype=np.int64).reshape(rows, cols))
 
 
 def _tiles(matrix: np.ndarray) -> np.ndarray:

@@ -56,9 +56,8 @@ def activation_channel_scales(calibration: np.ndarray) -> np.ndarray:
     return np.maximum(mags, 1e-8)
 
 
-def _layer_error(weight: np.ndarray, quantized_effective: np.ndarray,
+def _layer_error(reference: np.ndarray, quantized_effective: np.ndarray,
                  calibration: np.ndarray) -> float:
-    reference = calibration @ weight
     approx = calibration @ quantized_effective.astype(np.float32)
     return float(np.mean((reference - approx) ** 2))
 
@@ -79,13 +78,14 @@ def awq_quantize(weight: np.ndarray, calibration: np.ndarray, bits: int = 4,
     if w.ndim != 2:
         raise QuantizationError(f"expected a weight matrix, got shape {w.shape}")
     acts = np.asarray(calibration, dtype=np.float32)
+    magnitudes = activation_channel_scales(acts)  # rejects a non-2-D batch
     if acts.shape[1] != w.shape[0]:
         raise QuantizationError(
             f"calibration channels {acts.shape[1]} != weight input dim {w.shape[0]}")
     if alpha_grid is None:
         alpha_grid = np.linspace(0.0, 1.0, 11)
 
-    magnitudes = activation_channel_scales(acts)
+    reference = acts @ w
     best: Optional[Tuple[float, float, QuantizedWeight, np.ndarray]] = None
     for alpha in alpha_grid:
         scales = magnitudes ** float(alpha)
@@ -93,9 +93,11 @@ def awq_quantize(weight: np.ndarray, calibration: np.ndarray, bits: int = 4,
         quantized = quantize_tile_group(w * scales[:, None], bits=bits,
                                         group_size=group_size)
         effective = dequantize_weight(quantized).astype(np.float32) / scales[:, None]
-        error = _layer_error(w, effective, acts)
+        error = _layer_error(reference, effective, acts)
         if best is None or error < best[0]:
             best = (error, float(alpha), quantized, scales)
+    if best is None:
+        raise QuantizationError("alpha_grid holds no candidate")
 
     error, alpha, quantized, scales = best
     return AWQResult(quantized=quantized, channel_scales=scales, alpha=alpha,

@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import QuantizationError
-from ..npu.hmx import TILE_DIM, hmx_layout_order, pad_to_tiles
+from ..npu.hmx import TILE_DIM, matrix_from_hmx_layout, matrix_to_hmx_layout
 from .schemes import (
     Q4_GROUP_SIZE,
     QuantizedGroups,
@@ -106,12 +106,10 @@ def quantize_tile_group(weight: np.ndarray, bits: int = 4,
     w = np.asarray(weight, dtype=np.float32)
     if w.ndim != 2:
         raise QuantizationError(f"expected a weight matrix, got shape {w.shape}")
-    padded = pad_to_tiles(w)
-    order = hmx_layout_order(*padded.shape)
-    layout_values = padded.ravel()[order]
+    layout_values, padded_shape = matrix_to_hmx_layout(w)
     groups = _quant_flat(layout_values, bits, group_size)
     return QuantizedWeight(groups=groups, layout="hmx_tile",
-                           original_shape=w.shape, padded_shape=padded.shape)
+                           original_shape=w.shape, padded_shape=padded_shape)
 
 
 def quantize_conventional_group(weight: np.ndarray, bits: int = 4,
@@ -137,17 +135,12 @@ def quantize_conventional_group(weight: np.ndarray, bits: int = 4,
 
 def dequantize_weight(quantized: QuantizedWeight) -> np.ndarray:
     """Reconstruct the FP16 weight matrix in its original shape."""
-    flat = _dequant_flat(quantized.groups).astype(np.float32)
-    rows, cols = quantized.padded_shape
+    flat = _dequant_flat(quantized.groups)
     if quantized.layout == "hmx_tile":
-        order = hmx_layout_order(rows, cols)
-        out = np.empty(rows * cols, dtype=np.float32)
-        out[order] = flat
-        matrix = out.reshape(rows, cols)
-    else:
-        matrix = flat.reshape(cols, rows).T
-    o_rows, o_cols = quantized.original_shape
-    return matrix[:o_rows, :o_cols].astype(np.float16)
+        return np.ascontiguousarray(matrix_from_hmx_layout(
+            flat, quantized.padded_shape, quantized.original_shape))
+    rows, cols = quantized.padded_shape
+    return flat.reshape(cols, rows).T  # column-major, as the groups run
 
 
 def dequantize_layout_stream(quantized: QuantizedWeight) -> np.ndarray:

@@ -9,6 +9,7 @@ group at a time from the single-unit primitives — ``tile_permute`` /
 import numpy as np
 import pytest
 
+from repro.errors import TileShapeError
 from repro.npu.hmx import (
     TILE_DIM,
     TILE_ELEMS,
@@ -128,6 +129,10 @@ class TestLayoutAgainstTiles:
         assert not np.shares_memory(matrix, flat)
         matrix[...] = 0
         assert _same(flat, before)
+
+    def test_to_layout_rejects_a_stack(self):
+        with pytest.raises(TileShapeError):
+            matrix_to_hmx_layout(np.zeros((2, TILE_DIM, TILE_DIM)))
 
     def test_strided_input(self):
         base = _matrix((96, 130), np.float32)

@@ -70,3 +70,13 @@ class TestAWQ:
     def test_requires_matrix(self, rng, calibration):
         with pytest.raises(QuantizationError):
             awq_quantize(rng.normal(size=64), calibration)
+
+    def test_requires_2d_calibration(self, rng):
+        w = rng.normal(size=(64, 32)).astype(np.float32)
+        with pytest.raises(QuantizationError, match="tokens, channels"):
+            awq_quantize(w, rng.normal(size=64))
+
+    def test_empty_alpha_grid(self, rng, calibration):
+        w = rng.normal(size=(64, 32)).astype(np.float32)
+        with pytest.raises(QuantizationError, match="alpha_grid"):
+            awq_quantize(w, calibration, alpha_grid=[])

@@ -1,5 +1,7 @@
 """Unit tests for nibble packing and super-group coalescing (§5.1.2)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,12 @@ class TestAoSLayout:
         with pytest.raises(QuantizationError):
             unpack_aos_q4(packed)
 
+    def test_unpack_rejects_partial_record(self, rng):
+        packed = pack_aos_q4(quantize_q4_0(rng.normal(size=64)))
+        short = replace(packed, data=packed.data[:-1])
+        with pytest.raises(QuantizationError, match="records of 1"):
+            unpack_aos_q4(short)
+
 
 class TestSuperGroups:
     def test_roundtrip(self, rng):
@@ -115,6 +123,13 @@ class TestSuperGroups:
         packed = pack_aos_q4(quantize_q4_0(rng.normal(size=64)))
         with pytest.raises(QuantizationError):
             unpack_supergroups_q4(packed)
+
+    def test_unpack_rejects_partial_record(self, rng):
+        packed = pack_supergroups_q4(quantize_q4_0(rng.normal(size=512)))
+        with pytest.raises(QuantizationError, match="records of 8"):
+            unpack_supergroups_q4(replace(packed, data=packed.data[:-16]))
+        with pytest.raises(QuantizationError, match="records of 8"):
+            unpack_supergroups_q4(replace(packed, n_groups=12))
 
     @given(st.integers(1, 8), st.integers(0, 500))
     @settings(max_examples=30)

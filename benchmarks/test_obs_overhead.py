@@ -115,11 +115,12 @@ def test_disabled_span_fast_path_is_allocation_free():
 
 def test_slo_recording_overhead_in_scheduler_step_loop():
     """Metrics + SLO histogram recording must stay a rounding error of a
-    scheduler run: the hot loop pays one observe_step per decode step and
-    one observe_candidate per retirement."""
+    scheduler run: the hot loop folds one decode_step event per decode
+    step and one complete event per retirement into the tracker."""
     from repro.llm import ContinuousBatchingScheduler
     from repro.obs.metrics import MetricsRegistry, set_metrics
     from repro.obs.slo import SLOTracker
+    from repro.obs.timeline import EventLog
 
     weights = TransformerWeights.generate(tiny_config(), seed=0)
     engine = InferenceEngine(NPUTransformer(weights), batch=BATCH,
@@ -143,15 +144,19 @@ def test_slo_recording_overhead_in_scheduler_step_loop():
     n_candidates = snapshot["repro.slo.candidate_latency_seconds"]["count"]
     assert n_steps > 0 and n_candidates > 0
 
-    # replay the same number of recordings against fresh histograms
+    # replay the same number of recordings against fresh histograms,
+    # emitting each event as the scheduler does before folding it
     tracker = SLOTracker(MetricsRegistry(), engine_batch=BATCH)
+    log = EventLog()
     live = list(range(BATCH))
 
     def replay() -> None:
         for step in range(n_steps):
-            tracker.observe_step(1e-4, live)
+            tracker.apply(log.emit("decode_step", 0.0, step=step,
+                                   seconds=1e-4, live_ids=live))
         for candidate in range(n_candidates):
-            tracker.observe_candidate(candidate, 1e-3)
+            tracker.apply(log.emit("complete", 0.0, request_id=candidate,
+                                   latency_seconds=1e-3))
 
     replay()  # warm-up
     record_seconds = min(_timed(replay) for _ in range(5))

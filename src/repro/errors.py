@@ -123,17 +123,6 @@ class RetryExhaustedError(FaultError):
     """A retried operation kept faulting past the policy's retry cap."""
 
 
-class DeadlineExceeded(ReproError):
-    """A per-query wall-clock deadline elapsed on the simulated clock.
-
-    Test-time scaling trades latency for accuracy (§2, §7.1); a serving
-    deployment bounds that trade with a deadline.  The scheduler and
-    the TTS layer degrade to best-answer-so-far rather than raising
-    this out of a query; it escapes only when a single step cannot fit
-    the budget at all.
-    """
-
-
 class FleetError(ReproError):
     """Raised by the discrete-event fleet layer (:mod:`repro.fleet`).
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import EngineError
-from ..npu.memory import MultiSessionHeap, RpcMemHeap
+from ..npu.memory import MultiSessionHeap
 from ..npu.power_mgmt import GOVERNORS, PowerGovernor, apply_governor
 from ..npu.soc import Device
 from ..npu.timing import TimingModel
@@ -28,7 +28,6 @@ from ..obs import energy as obs_energy
 from ..obs import metrics as obs_metrics
 from ..obs import timeline as obs_timeline
 from ..obs import trace as obs_trace
-from .kv_cache import KVCache
 from .model import NPUTransformer, StepCost
 from .sampler import Sampler
 
@@ -331,6 +330,9 @@ class InferenceEngine:
                 f"context {self.max_context}")
         sampler = sampler if sampler is not None else Sampler(temperature=0.8)
         self.reset()
+        # the events are the record; the run's joules fold from them
+        tlog = obs_timeline.run_event_log()
+        accountant = obs_energy.EnergyAccountant()
 
         with obs_trace.span("engine.generate", category="engine",
                             prompt_tokens=len(prompt),
@@ -340,12 +342,11 @@ class InferenceEngine:
             last_logits, prefill_cost = self.prefill(prompt, seq=0)
             prefill_seconds = self._step_seconds(
                 prefill_cost, time.perf_counter() - wall_start)
-            prefill_energy = self.step_energy(prefill_cost, prefill_seconds)
-            if obs_timeline.timeline_enabled():
-                obs_timeline.emit("prefill", prefill_seconds,
-                                  seconds=prefill_seconds,
-                                  n_tokens=len(prompt),
-                                  joules=prefill_energy.joules)
+            accountant.apply(tlog.emit(
+                "prefill", prefill_seconds, seconds=prefill_seconds,
+                n_tokens=len(prompt),
+                joules=self.step_energy(prefill_cost,
+                                        prefill_seconds).joules))
             if n > 1:
                 with obs_trace.span("engine.fork", category="engine",
                                     n_targets=n - 1):
@@ -362,7 +363,6 @@ class InferenceEngine:
                                       prompt_tokens=len(prompt))
 
             decode_seconds = 0.0
-            joules = prefill_energy.joules
             for step_index in range(max_new_tokens - 1):
                 if all(finished):
                     break
@@ -371,14 +371,11 @@ class InferenceEngine:
                 step_seconds = self._step_seconds(
                     cost, time.perf_counter() - wall_start)
                 decode_seconds += step_seconds
-                step_energy = self.step_energy(cost, step_seconds)
-                joules += step_energy.joules
-                if obs_timeline.timeline_enabled():
-                    obs_timeline.emit(
-                        "decode_step", prefill_seconds + decode_seconds,
-                        step=step_index, seconds=step_seconds,
-                        live_batch=sum(1 for f in finished if not f),
-                        joules=step_energy.joules)
+                accountant.apply(tlog.emit(
+                    "decode_step", prefill_seconds + decode_seconds,
+                    step=step_index, seconds=step_seconds,
+                    live_batch=sum(1 for f in finished if not f),
+                    joules=self.step_energy(cost, step_seconds).joules))
                 result.decode_costs.append(cost)
                 next_tokens = sampler.sample_batch(logits)
                 for i in range(n):
@@ -393,13 +390,11 @@ class InferenceEngine:
 
             self._tokens_counter.inc(result.total_generated_tokens)
             result.sim_seconds = prefill_seconds + decode_seconds
-            result.joules = joules
-            if obs_timeline.timeline_enabled():
-                for i in range(n):
-                    obs_timeline.emit("complete", result.sim_seconds,
-                                      request_id=i, reason="eos"
-                                      if finished[i] else "length",
-                                      tokens=result.n_generated_tokens[i])
+            result.joules = accountant.total_j
+            for i in range(n):
+                tlog.emit("complete", result.sim_seconds, request_id=i,
+                          reason="eos" if finished[i] else "length",
+                          tokens=result.n_generated_tokens[i])
             if decode_seconds > 0.0:
                 decoded = result.total_generated_tokens - n
                 self._tokens_per_second.set(max(decoded, 0) / decode_seconds)

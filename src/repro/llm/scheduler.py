@@ -229,13 +229,6 @@ class ContinuousBatchingScheduler:
                 "kv_backend='paged' (got "
                 f"{engine.kv_backend!r})")
         self.engine = engine
-        reg = obs_metrics.get_metrics()
-        self._admissions = reg.counter("repro.scheduler.admissions")
-        self._retired = reg.counter("repro.scheduler.retired")
-        self._live_batch = reg.gauge("repro.scheduler.live_batch")
-        self._step_retries = reg.counter("repro.resilience.step_retries")
-        self._evictions = reg.counter("repro.resilience.evictions")
-        self._rebuilds = reg.counter("repro.resilience.rebuilds")
 
     # ------------------------------------------------------------------
     def generate(self, prompt: Sequence[int], n_candidates: int,
@@ -347,8 +340,6 @@ class ContinuousBatchingScheduler:
 
         result = ScheduledGeneration(sequences=[], prefill_cost=None,
                                      prompt_tokens=len(prompt))
-        slo = SLOTracker(obs_metrics.get_metrics(),
-                         engine_batch=engine.batch)
         base_governor = engine.governor
         try:
             with obs_trace.span("scheduler.generate", category="scheduler",
@@ -358,7 +349,7 @@ class ContinuousBatchingScheduler:
                                 max_new_tokens=max_new_tokens):
                 self._run(engine, cache, clock, prompt, n_candidates,
                           budgets, sampler, eos_id, injector, policy,
-                          deadline_seconds, base_governor, result, slo,
+                          deadline_seconds, base_governor, result,
                           prefill_chunk, dispatch, admitted)
         finally:
             if injector is not None:
@@ -374,12 +365,22 @@ class ContinuousBatchingScheduler:
              budgets: List[int], sampler: Sampler, eos_id: Optional[int],
              injector: Optional[FaultInjector], policy: RetryPolicy,
              deadline_seconds: Optional[float], base_governor,
-             result: ScheduledGeneration, slo: SLOTracker,
-             prefill_chunk: Optional[int],
+             result: ScheduledGeneration, prefill_chunk: Optional[int],
              selector: Optional[BackendSelector],
              admissions: Sequence[PromptAdmission]) -> None:
-        tlog = obs_timeline.get_event_log()
+        # Each fact is recorded once, as a timeline event; the run's
+        # energy, SLO histograms and counters are folds over the events.
+        tlog = obs_timeline.run_event_log()
         accountant = obs_energy.EnergyAccountant()
+        registry = obs_metrics.get_metrics()
+        slo = SLOTracker(registry, engine_batch=engine.batch)
+        live_batch = registry.gauge("repro.scheduler.live_batch")
+
+        def record(kind: str, sim_time: float, **fields) -> None:
+            event = tlog.emit(kind, sim_time, **fields)
+            accountant.apply(event)
+            slo.apply(event)
+
         batch = engine.batch
         config = engine.model.config
         # An injected clock may already carry earlier requests' time;
@@ -400,12 +401,10 @@ class ContinuousBatchingScheduler:
             next_cid += admission.n_candidates
         result.n_prompt_admissions = len(requests) - 1
 
-        if tlog.enabled:
-            for request in requests:
-                for local in range(request.n_candidates):
-                    cid = request.first_candidate + local
-                    tlog.emit("queue", run_start, request_id=cid,
-                              wave=cid // batch)
+        for request in requests:
+            for local in range(request.n_candidates):
+                cid = request.first_candidate + local
+                record("queue", run_start, request_id=cid, wave=cid // batch)
 
         free_slots = list(range(engine.batch))
         live: Dict[int, _LiveCandidate] = {}
@@ -438,16 +437,13 @@ class ContinuousBatchingScheduler:
             kv_bytes = tokens_cached * config.n_layers * 2 * config.kv_dim * 2
             seconds = crossing_for_bytes(selector.device, kv_bytes)
             clock.advance(seconds)
-            idle = engine.energy_model.idle_energy(seconds)
-            accountant.charge_idle(idle)
             result.migration_seconds += seconds
             result.n_backend_switches += 1
-            if tlog.enabled:
-                tlog.emit("backend_switch", clock.total_seconds, step=step,
-                          stage=stage, backend_from=prev_backend,
-                          backend_to=decision.backend,
-                          crossing_seconds=seconds, kv_bytes=kv_bytes,
-                          joules=idle.joules)
+            record("backend_switch", clock.total_seconds, step=step,
+                   stage=stage, backend_from=prev_backend,
+                   backend_to=decision.backend, crossing_seconds=seconds,
+                   kv_bytes=kv_bytes,
+                   joules=engine.energy_model.idle_energy(seconds).joules)
             prev_backend = decision.backend
 
         def forward_chunk(request: _Request, recover: bool) -> bool:
@@ -489,21 +485,16 @@ class ContinuousBatchingScheduler:
                 breakdown = engine.offloaded_step_energy(seconds)
             else:
                 breakdown = engine.step_energy(cost, seconds)
-            accountant.charge_prefill(breakdown)
-            slo.observe_prefill_chunk(seconds)
             result.n_prefill_chunks += 1
             request.prefilled = end
             request.last_logits = logits_vec
             if request.request_id == 0:
                 result.prefill_cost = cost
-            if tlog.enabled:
-                attrs = dict(seconds=seconds, n_tokens=len(chunk),
-                             offset=start, request=request.request_id,
-                             joules=breakdown.joules)
-                if decision is not None:
-                    attrs["backend"] = decision.backend
-                tlog.emit("prefill_chunk", clock.total_seconds, step=step,
-                          **attrs)
+            attrs = dict(seconds=seconds, n_tokens=len(chunk), offset=start,
+                         request=request.request_id, joules=breakdown.joules)
+            if decision is not None:
+                attrs["backend"] = decision.backend
+            record("prefill_chunk", clock.total_seconds, step=step, **attrs)
             if request.prefilled >= len(request.prompt):
                 request.anchor = cache.snapshot_sequence(slot)
                 cache.free_sequence(slot)
@@ -556,20 +547,15 @@ class ContinuousBatchingScheduler:
                         request_id=request.request_id)
                     request.next_local += 1
                     result.n_admissions += 1
-                    self._admissions.inc()
-                    if tlog.enabled:
-                        wave = candidate.candidate_id // batch
-                        if wave not in waves_started:
-                            waves_started.add(wave)
-                            tlog.emit("wave_start", clock.total_seconds,
-                                      step=step, wave=wave,
-                                      population=wave_population(wave))
-                        tlog.emit("admit", clock.total_seconds,
-                                  request_id=candidate.candidate_id,
-                                  step=step, slot=slot)
-                        tlog.emit("wave_assign", clock.total_seconds,
-                                  request_id=candidate.candidate_id,
-                                  step=step, wave=wave)
+                    wave = cid // batch
+                    if wave not in waves_started:
+                        waves_started.add(wave)
+                        record("wave_start", clock.total_seconds, step=step,
+                               wave=wave, population=wave_population(wave))
+                    record("admit", clock.total_seconds, request_id=cid,
+                           step=step, slot=slot)
+                    record("wave_assign", clock.total_seconds, request_id=cid,
+                           step=step, wave=wave)
                     if ((eos_id is not None and token == eos_id)
                             or candidate.budget == 1):
                         retire(candidate, "eos" if eos_id is not None
@@ -588,19 +574,16 @@ class ContinuousBatchingScheduler:
                 admitted_step=candidate.admitted_step,
                 finished_step=step, finish_reason=reason,
                 joules=joules, request_id=candidate.request_id))
-            self._retired.inc()
             latency = clock.total_seconds - candidate.admitted_sim
-            slo.observe_candidate(candidate.candidate_id, latency)
-            if tlog.enabled:
-                tlog.emit("complete", clock.total_seconds,
-                          request_id=candidate.candidate_id, step=step,
-                          reason=reason, tokens=len(candidate.tokens),
-                          latency_seconds=latency, joules=joules)
-                wave = candidate.candidate_id // batch
-                wave_retired[wave] = wave_retired.get(wave, 0) + 1
-                if wave_retired[wave] == wave_population(wave):
-                    tlog.emit("wave_end", clock.total_seconds, step=step,
-                              wave=wave, population=wave_retired[wave])
+            record("complete", clock.total_seconds,
+                   request_id=candidate.candidate_id, step=step,
+                   reason=reason, tokens=len(candidate.tokens),
+                   latency_seconds=latency, joules=joules)
+            wave = candidate.candidate_id // batch
+            wave_retired[wave] = wave_retired.get(wave, 0) + 1
+            if wave_retired[wave] == wave_population(wave):
+                record("wave_end", clock.total_seconds, step=step,
+                       wave=wave, population=wave_retired[wave])
 
         def rebuild_live() -> None:
             # The paged cache may be in an inconsistent mid-forward
@@ -622,26 +605,17 @@ class ContinuousBatchingScheduler:
                     if prefix:
                         w = time.perf_counter()
                         cost = engine.rebuild_sequence(slot, prefix)
-                        if cost is not None:
-                            seconds = engine._step_seconds(
-                                cost, time.perf_counter() - w)
-                            clock.advance(seconds)
-                            breakdown = engine.step_energy(cost, seconds)
-                            accountant.charge_prefill(
-                                breakdown,
-                                request_id=candidate.candidate_id,
-                                wave=candidate.candidate_id // batch)
-                            rebuild_joules = breakdown.joules
-                            rebuild_seconds = seconds
+                        rebuild_seconds = engine._step_seconds(
+                            cost, time.perf_counter() - w)
+                        clock.advance(rebuild_seconds)
+                        rebuild_joules = engine.step_energy(
+                            cost, rebuild_seconds).joules
                 result.n_rebuilds += 1
                 result.rebuilt_tokens += len(prefix)
-                self._rebuilds.inc()
-                if tlog.enabled:
-                    tlog.emit("rebuild", clock.total_seconds,
-                              request_id=candidate.candidate_id,
-                              step=step, tokens=len(prefix),
-                              seconds=rebuild_seconds,
-                              joules=rebuild_joules)
+                record("rebuild", clock.total_seconds,
+                       request_id=candidate.candidate_id, step=step,
+                       tokens=len(prefix), seconds=rebuild_seconds,
+                       joules=rebuild_joules)
             # in-flight partial prefills lost their KV too: restart them
             # from scratch on the next service round
             for request in requests:
@@ -659,17 +633,15 @@ class ContinuousBatchingScheduler:
             # ties toward the most recently admitted (highest id)
             victim = min(live.values(),
                          key=lambda c: (len(c.tokens), -c.candidate_id))
-            if tlog.enabled:
-                tlog.emit("evict", clock.total_seconds,
-                          request_id=victim.candidate_id, step=step,
-                          tokens=len(victim.tokens))
+            record("evict", clock.total_seconds,
+                   request_id=victim.candidate_id, step=step,
+                   tokens=len(victim.tokens))
             with obs_trace.span("resilience.evict", category="resilience",
                                 candidate=victim.candidate_id,
                                 slot=victim.slot, tokens=len(victim.tokens),
                                 step=step):
                 retire(victim, "evicted")
             result.n_evictions += 1
-            self._evictions.inc()
             return True
 
         def degrade(reason: str) -> None:
@@ -681,20 +653,14 @@ class ContinuousBatchingScheduler:
 
         def note_retry(kind: str, seconds: float) -> None:
             result.n_retries += 1
-            self._step_retries.inc()
-            obs_metrics.get_metrics().counter(
-                "repro.resilience.step_retries", labels={"kind": kind}).inc()
             with obs_trace.span("resilience.retry", category="resilience",
                                 kind=kind, step=step,
                                 backoff_ms=seconds * 1e3):
                 clock.advance(seconds)
             # backoff burns baseline power while the NPU sits idle
-            idle = engine.energy_model.idle_energy(seconds)
-            accountant.charge_idle(idle)
-            if tlog.enabled:
-                tlog.emit("retry", clock.total_seconds, step=step,
-                          retry_kind=kind, backoff_seconds=seconds,
-                          joules=idle.joules)
+            record("retry", clock.total_seconds, step=step, retry_kind=kind,
+                   backoff_seconds=seconds,
+                   joules=engine.energy_model.idle_energy(seconds).joules)
 
         if prefill_chunk is None:
             wall = time.perf_counter()
@@ -714,13 +680,11 @@ class ContinuousBatchingScheduler:
                 engine.offloaded_step_energy(prefill_seconds)
                 if prefill_offloaded
                 else engine.step_energy(prefill_cost, prefill_seconds))
-            accountant.charge_prefill(prefill_energy)
-            if tlog.enabled:
-                attrs = dict(seconds=prefill_seconds, n_tokens=len(prompt),
-                             joules=prefill_energy.joules)
-                if selector is not None:
-                    attrs["backend"] = prev_backend
-                tlog.emit("prefill", clock.total_seconds, **attrs)
+            attrs = dict(seconds=prefill_seconds, n_tokens=len(prompt),
+                         joules=prefill_energy.joules)
+            if selector is not None:
+                attrs["backend"] = prev_backend
+            record("prefill", clock.total_seconds, **attrs)
             result.prefill_cost = prefill_cost
             requests[0].last_logits = last_logits
             requests[0].anchor = cache.snapshot_sequence(0)
@@ -759,12 +723,10 @@ class ContinuousBatchingScheduler:
                     engine.set_governor(base_governor)
                     throttle_restore_step = None
                     result.governor_steps.append((step, base_governor.name))
-                    if tlog.enabled:
-                        tlog.emit("throttle", clock.total_seconds,
-                                  step=step, governor=base_governor.name,
-                                  governor_level=governor_level(
-                                      base_governor.name),
-                                  restored=True)
+                    record("throttle", clock.total_seconds, step=step,
+                           governor=base_governor.name,
+                           governor_level=governor_level(base_governor.name),
+                           restored=True)
                 for event in injector.step_events(step):
                     if event.kind == "thermal_throttle":
                         engine.set_governor(event.governor)
@@ -778,12 +740,10 @@ class ContinuousBatchingScheduler:
                                             step=step,
                                             duration=event.duration_steps):
                             pass
-                        if tlog.enabled:
-                            tlog.emit("throttle", clock.total_seconds,
-                                      step=step, governor=event.governor,
-                                      governor_level=governor_level(
-                                          event.governor),
-                                      restored=False)
+                        record("throttle", clock.total_seconds, step=step,
+                               governor=event.governor,
+                               governor_level=governor_level(event.governor),
+                               restored=False)
                     elif event.kind == "session_abort":
                         arm_abort += 1
                     elif event.kind == "dma_timeout":
@@ -816,7 +776,7 @@ class ContinuousBatchingScheduler:
                             break
                     slots = sorted(live)
                     tokens = [live[s].last_token for s in slots]
-                    self._live_batch.set(len(slots))
+                    live_batch.set(len(slots))
                     wall = time.perf_counter()
                     with obs_trace.span(
                             "scheduler.step", category="scheduler",
@@ -868,20 +828,13 @@ class ContinuousBatchingScheduler:
             step_energy = (engine.offloaded_step_energy(step_seconds)
                            if step_offloaded
                            else engine.step_energy(cost, step_seconds))
-            accountant.charge_step(step_energy, request_ids=live_ids,
-                                   waves=[cid // batch for cid in live_ids])
-            if tlog.enabled:
-                attrs = dict(seconds=step_seconds, live_batch=len(slots),
-                             kv_blocks=cache.pool.blocks_in_use,
-                             governor_level=governor_level(
-                                 engine.governor.name),
-                             joules=step_energy.joules,
-                             live_ids=list(live_ids))
-                if selector is not None:
-                    attrs["backend"] = prev_backend
-                tlog.emit("decode_step", clock.total_seconds, step=step,
-                          **attrs)
-            slo.observe_step(step_seconds, live_ids)
+            attrs = dict(seconds=step_seconds, live_batch=len(slots),
+                         kv_blocks=cache.pool.blocks_in_use,
+                         governor_level=governor_level(engine.governor.name),
+                         joules=step_energy.joules, live_ids=live_ids)
+            if selector is not None:
+                attrs["backend"] = prev_backend
+            record("decode_step", clock.total_seconds, step=step, **attrs)
             step += 1
             next_tokens = sampler.sample_batch(logits)
             for i, slot in enumerate(slots):
@@ -898,9 +851,8 @@ class ContinuousBatchingScheduler:
                     and clock.total_seconds - run_start >= deadline_seconds):
                 result.deadline_hit = True
                 admitting = False
-                if tlog.enabled:
-                    tlog.emit("deadline", clock.total_seconds, step=step,
-                              deadline=deadline_seconds, live=len(live))
+                record("deadline", clock.total_seconds, step=step,
+                       deadline=deadline_seconds, live=len(live))
                 with obs_trace.span("resilience.deadline",
                                     category="resilience", step=step,
                                     sim_seconds=clock.total_seconds,

@@ -4,8 +4,8 @@ The event log (:mod:`repro.obs.timeline`) records *that* things
 happened; this module turns one recorded run into *why each request
 took as long as it did*.  For every request it rebuilds the causal
 chain, slices the request's lifetime into contiguous phases, and
-attributes every simulated nanosecond (and nanojoule, replaying
-:class:`~repro.obs.energy.EnergyAccountant`'s charging rules) to a
+attributes every simulated nanosecond (and nanojoule, folding the log
+through the run's own :class:`~repro.obs.energy.EnergyAccountant`) to a
 phase taxonomy:
 
 * scheduler runs — ``queue_wait`` (no slot yet), ``prefill`` (chunked
@@ -25,9 +25,11 @@ per-phase blame telescopes to ``end_ns - start_ns`` with no float
 re-association anywhere.  Energy charges are quantized per charge
 (:func:`~repro.obs.energy.quantize_nj`) and only ever summed as
 integers, so phase energy partitions the per-request total exactly.
-The float replay (same operations, same order as the accountant) is
-kept alongside and must reproduce the ``complete`` event's ``joules``
-attribute bit-for-bit — the differential suite asserts both.
+The charges come from applying the same accountant the scheduler ran
+to the recorded log, so its float per-candidate total must reproduce
+the ``complete`` event's ``joules`` attribute bit-for-bit whenever the
+log recorded every charge, in order — the differential suite asserts
+both.
 
 :func:`validate_lifecycle` is the completeness validator the ISSUE's
 reconstructor audit demanded: it rejects orphaned phases (a
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ObservabilityError
-from .energy import quantize_nj
+from .energy import EnergyAccountant, quantize_nj
 from .timeline import EventLog, TimelineEvent
 
 __all__ = [
@@ -115,8 +117,8 @@ class RequestExplanation:
     ``blame_ns`` partitions ``latency_ns = end_ns - start_ns`` exactly;
     ``energy_nj`` partitions ``total_nj`` exactly.  ``joules`` is the
     float the run itself reported (the ``complete`` event attribute)
-    and ``replayed_joules`` the float replay of the accountant's
-    charging order — the two must match bitwise on a faithful log.
+    and ``replayed_joules`` the accountant's fold over the recorded
+    log — the two must match bitwise on a faithful log.
     """
 
     request_id: int
@@ -262,7 +264,15 @@ def explain_scheduler_log(log: EventLog) -> List[RequestExplanation]:
             segments.append((prev_ns, t_ns, event))
         prev_ns = t_ns
 
-    energy = _replay_scheduler_energy(events)
+    # per-candidate charges of the accountant's fold over the log,
+    # each quantized once and summed as integers per phase
+    accountant = EnergyAccountant()
+    energy_nj: Dict[int, Dict[str, int]] = {}
+    for event in events:
+        for cid, joules in accountant.apply(event):
+            _charge(energy_nj.setdefault(cid, {}),
+                    _classify_scheduler_segment(event), quantize_nj(joules))
+
     out: List[RequestExplanation] = []
     for cid in log.request_ids():
         chain = log.timeline(cid)
@@ -293,46 +303,11 @@ def explain_scheduler_log(log: EventLog) -> List[RequestExplanation]:
                          else _classify_scheduler_segment(terminator))
                 _charge(expl.blame_ns, phase, seg_end - seg_start)
                 _push_slice(expl.slices, phase, seg_start, seg_end)
-        per_cid = energy.get(cid)
-        if per_cid is not None:
-            expl.energy_nj, expl.total_nj, expl.replayed_joules = per_cid
+        expl.energy_nj = energy_nj.get(cid, {})
+        expl.total_nj = sum(expl.energy_nj.values())
+        expl.replayed_joules = accountant.request_joules(cid)
         out.append(expl)
     return out
-
-
-def _replay_scheduler_energy(
-        events: List[TimelineEvent],
-) -> Dict[int, Tuple[Dict[str, int], int, float]]:
-    """Replay the accountant's per-candidate charges from the log.
-
-    ``decode_step`` events are run-level (no ``request_id``) and split
-    equally across their ``live_ids`` — the accountant's rule;
-    ``rebuild`` charges the owning candidate in full.  Each charge is
-    quantized once; the float replay mirrors the accountant's op order
-    so it must equal the ``complete`` event's joules bitwise.
-    """
-    by_cid: Dict[int, Tuple[Dict[str, int], int, float]] = {}
-
-    def charge(cid: int, phase: str, joules: float) -> None:
-        buckets, total, replayed = by_cid.get(cid, ({}, 0, 0.0))
-        nj = quantize_nj(joules)
-        _charge(buckets, phase, nj)
-        by_cid[cid] = (buckets, total + nj, replayed + joules)
-
-    for event in events:
-        if event.kind == "decode_step":
-            live_ids = event.attrs.get("live_ids")
-            if not live_ids:
-                continue
-            share = float(event.attrs.get("joules", 0.0)) / len(live_ids)
-            phase = ("decode_throttled"
-                     if event.attrs.get("governor_level", 0) else "decode")
-            for cid in live_ids:
-                charge(cid, phase, share)
-        elif event.kind == "rebuild" and event.request_id is not None:
-            charge(event.request_id, "rebuild",
-                   float(event.attrs.get("joules", 0.0)))
-    return by_cid
 
 
 # ----------------------------------------------------------------------

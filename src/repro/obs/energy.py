@@ -5,10 +5,11 @@ decode configuration draw in steady state (Fig. 12)?  This module
 answers the *accounting* question — which request, wave and engine did
 each simulated joule go to?  Every scheduler/engine step computes an
 :class:`EnergyBreakdown` from the step's per-engine utilizations and a
-:class:`~repro.perf.power.PowerBudget`, and an :class:`EnergyAccountant`
-rolls the joules up per request and per wave, so timelines, reports and
-bench metrics can surface tokens-per-joule — the battery-life currency
-the paper's mobile setting trades in.
+:class:`~repro.perf.power.PowerBudget`; the step's timeline event carries
+the joules, and an :class:`EnergyAccountant` folds those events up per
+request and per wave, so timelines, reports and bench metrics can
+surface tokens-per-joule — the battery-life currency the paper's mobile
+setting trades in.
 
 Layering: like :mod:`repro.obs.export`, this module imports nothing
 from :mod:`repro.npu` or :mod:`repro.perf` — ``budget`` and ``timing``
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ObservabilityError
 
@@ -156,13 +157,24 @@ class EnergyModel:
 
 
 class EnergyAccountant:
-    """Rolls step energy up per request and per wave.
+    """Folds the joules carried by timeline events into run totals.
 
-    A lock-step decode is one forward pass shared by the live batch, so
-    its joules split **equally** across the live candidates — the same
-    attribution rule the paper uses for per-token energy (power times
-    step latency over batch).  Prefill/rebuild joules go to the owning
-    request; idle joules (backoff) stay run-level.
+    Every charge is one :class:`~repro.obs.timeline.TimelineEvent`'s
+    ``joules`` attribute, so the same fold serves the live scheduler
+    (which applies each event as it emits it) and the explain layer
+    (which applies the recorded log).  The rules, by event kind:
+
+    * ``prefill``/``prefill_chunk`` — the prefill total;
+    * ``rebuild`` — the prefill total, the owning candidate and its
+      wave (an empty prefix ran no forward and charges nothing);
+    * ``decode_step`` — the decode total, split **equally** across the
+      step's ``live_ids``: a lock-step decode is one forward pass shared
+      by the live batch, the attribution rule the paper uses for
+      per-token energy (power times step latency over batch);
+    * ``retry``/``backend_switch`` — the idle total (backoff and rpcmem
+      crossings burn baseline power with the NPU idle).
+
+    Candidate waves come from ``wave_assign`` events.
     """
 
     def __init__(self) -> None:
@@ -172,42 +184,39 @@ class EnergyAccountant:
         self.idle_j = 0.0
         self.per_request: Dict[int, float] = {}
         self.per_wave: Dict[int, float] = {}
+        self._waves: Dict[int, int] = {}
 
-    def charge_prefill(self, breakdown: EnergyBreakdown,
-                       request_id: Optional[int] = None,
-                       wave: Optional[int] = None) -> None:
-        self.total_j += breakdown.joules
-        self.prefill_j += breakdown.joules
-        if request_id is not None:
-            self.per_request[request_id] = (
-                self.per_request.get(request_id, 0.0) + breakdown.joules)
-        if wave is not None:
-            self.per_wave[wave] = (self.per_wave.get(wave, 0.0)
-                                   + breakdown.joules)
-
-    def charge_step(self, breakdown: EnergyBreakdown,
-                    request_ids: Optional[Any] = None,
-                    waves: Optional[Any] = None) -> float:
-        """Charge one decode step, split equally across ``request_ids``.
-
-        Returns the per-request share (0.0 for an empty live set).
-        """
-        self.total_j += breakdown.joules
-        self.decode_j += breakdown.joules
-        ids = list(request_ids) if request_ids else []
-        share = breakdown.joules / len(ids) if ids else 0.0
-        for rid in ids:
-            self.per_request[rid] = self.per_request.get(rid, 0.0) + share
-        for wave in set(waves) if waves else ():
-            self.per_wave[wave] = self.per_wave.get(wave, 0.0)
-        if waves:
-            for rid, wave in zip(ids, waves):
-                self.per_wave[wave] = self.per_wave.get(wave, 0.0) + share
-        return share
-
-    def charge_idle(self, breakdown: EnergyBreakdown) -> None:
-        self.total_j += breakdown.joules
-        self.idle_j += breakdown.joules
+    def apply(self, event: Any) -> List[Tuple[int, float]]:
+        """Charge one event; returns its ``(candidate, joules)`` charges."""
+        kind = event.kind
+        attrs = event.attrs
+        if kind == "wave_assign":
+            self._waves[event.request_id] = attrs["wave"]
+            return []
+        joules = float(attrs.get("joules", 0.0))
+        charges: List[Tuple[int, float]] = []
+        if kind == "decode_step":
+            self.decode_j += joules
+            ids = attrs.get("live_ids") or ()
+            if ids:
+                share = joules / len(ids)
+                charges = [(rid, share) for rid in ids]
+        elif kind in ("retry", "backend_switch"):
+            self.idle_j += joules
+        elif kind == "rebuild" and attrs.get("tokens"):
+            self.prefill_j += joules
+            charges = [(event.request_id, joules)]
+        elif kind in ("prefill", "prefill_chunk"):
+            self.prefill_j += joules
+        else:
+            return []
+        self.total_j += joules
+        for rid, amount in charges:
+            self.per_request[rid] = self.per_request.get(rid, 0.0) + amount
+            wave = self._waves.get(rid)
+            if wave is not None:
+                self.per_wave[wave] = self.per_wave.get(wave, 0.0) + amount
+        return charges
 
     def request_joules(self, request_id: int) -> float:
         return self.per_request.get(request_id, 0.0)

@@ -11,15 +11,16 @@ path cheap streaming percentiles:
   the relative error of an interpolated percentile — is bounded by
   ``1 / 2**precision_bits`` regardless of where in the range a value
   lands.
-* :class:`SLOTracker` owns the token-latency histograms the
-  continuous-batching scheduler records into: per decode step, per
-  token, per admission wave, and per candidate lifetime.  All of them
-  are plain :class:`~repro.obs.metrics.Histogram` instruments living in
-  a :class:`~repro.obs.metrics.MetricsRegistry`, so they appear in every
+* :class:`SLOTracker` folds the continuous-batching scheduler's
+  timeline events into token-latency histograms — per decode step, per
+  token, per admission wave, and per candidate lifetime — and into the
+  scheduler's admission/retirement/resilience counters.  All of them
+  are plain :class:`~repro.obs.metrics` instruments living in a
+  :class:`~repro.obs.metrics.MetricsRegistry`, so they appear in every
   metrics snapshot, the ``repro profile`` report and the bench
   snapshots without extra plumbing.
 
-Naming: everything lives under ``repro.slo.*``; per-wave instruments
+Naming: the histograms live under ``repro.slo.*``; per-wave instruments
 are ``repro.slo.wave<k>.token_latency_seconds`` (wave ``k`` =
 ``candidate_id // engine_batch``, the lock-step wave the candidate
 would have belonged to).
@@ -31,7 +32,7 @@ import math
 from typing import Any, Dict, List, Optional, Union
 
 from ..errors import ObservabilityError
-from .metrics import Histogram, MetricsRegistry, get_metrics
+from .metrics import Counter, Histogram, MetricsRegistry, get_metrics
 
 __all__ = ["hdr_buckets", "SLOTracker", "slo_summary", "SLO_PERCENTILES",
            "histogram_summary", "percentile_cutoff"]
@@ -74,6 +75,9 @@ def hdr_buckets(min_value: float, max_value: float,
     (4 sub-buckets per octave) keeps the scheduler's latency histograms
     at a few dozen buckets across nine decades.
     """
+    if not (math.isfinite(min_value) and math.isfinite(max_value)):
+        raise ObservabilityError(
+            f"hdr_buckets needs finite bounds, got [{min_value}, {max_value}]")
     if min_value <= 0.0 or max_value <= min_value:
         raise ObservabilityError(
             f"hdr_buckets needs 0 < min < max, got [{min_value}, {max_value}]")
@@ -98,13 +102,26 @@ def _default_latency_buckets() -> List[float]:
     return hdr_buckets(1e-6, 134.0, precision_bits=2)
 
 
-class SLOTracker:
-    """Records serving-path latency histograms into a metrics registry.
+#: Scheduler counters, one per event kind: each event increments its
+#: counter once.
+_EVENT_COUNTERS = (("admit", "repro.scheduler.admissions"),
+                   ("complete", "repro.scheduler.retired"),
+                   ("retry", "repro.resilience.step_retries"),
+                   ("evict", "repro.resilience.evictions"),
+                   ("rebuild", "repro.resilience.rebuilds"))
 
-    One tracker is created per scheduler run (it binds instruments from
-    whatever registry is installed at construction), so a profiled or
+
+class SLOTracker:
+    """Folds scheduler timeline events into SLO histograms and counters.
+
+    One tracker is created per scheduler run and binds every instrument
+    from the registry installed when the run starts, so a profiled or
     benched run that installs a fresh registry starts its percentiles
-    from zero.
+    and counters from zero.  :meth:`apply` folds ``decode_step``
+    (step latency, plus one token latency per live candidate and its
+    wave), ``complete`` (candidate latency) and ``prefill_chunk``
+    (chunk latency), and counts ``admit``/``complete``/``retry``/
+    ``evict``/``rebuild`` events; retries are also counted per kind.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
@@ -122,9 +139,9 @@ class SLOTracker:
         self._candidate = self._histogram(
             "repro.slo.candidate_latency_seconds")
         self._waves: Dict[int, Histogram] = {}
-        # created lazily: runs without chunked prefill keep their
-        # metrics snapshot free of the instrument
-        self._prefill_chunk: Optional[Histogram] = None
+        self._counters: Dict[str, Counter] = {
+            kind: self._registry.counter(name)
+            for kind, name in _EVENT_COUNTERS}
 
     def _histogram(self, name: str) -> Histogram:
         return self._registry.histogram(name, self._buckets)
@@ -138,39 +155,34 @@ class SLOTracker:
             self._waves[wave] = hist
         return hist
 
-    # ------------------------------------------------------------------
-    def wave_of(self, candidate_id: int) -> int:
-        """Lock-step wave index a candidate would have belonged to."""
-        return candidate_id // self._engine_batch
+    def apply(self, event: Any) -> None:
+        """Fold one timeline event into the histograms and counters.
 
-    def observe_step(self, sim_seconds: float,
-                     live_candidate_ids: "List[int]") -> None:
-        """Record one decode step: step latency plus one token latency
-        per live candidate (each live candidate commits one token per
-        step, so the step's simulated latency *is* its token latency)."""
-        self._step.observe(sim_seconds)
-        for candidate_id in live_candidate_ids:
-            self._token.observe(sim_seconds)
-            self._wave_histogram(self.wave_of(candidate_id)).observe(
-                sim_seconds)
-
-    def observe_candidate(self, candidate_id: int,
-                          latency_seconds: float) -> None:
-        """Record one candidate's admission-to-retire simulated latency."""
-        self._candidate.observe(latency_seconds)
-
-    def observe_prefill_chunk(self, sim_seconds: float) -> None:
-        """Record the simulated latency of one prefill chunk — the
-        prefill SLO of a prompt admitted into a running decode."""
-        if self._prefill_chunk is None:
-            self._prefill_chunk = self._histogram(
-                "repro.slo.prefill_chunk_seconds")
-        self._prefill_chunk.observe(sim_seconds)
-
-    # ------------------------------------------------------------------
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Percentile summary of every SLO instrument recorded so far."""
-        return slo_summary(self._registry)
+        Each live candidate of a decode step commits one token, so the
+        step's simulated latency *is* its token latency.
+        """
+        kind = event.kind
+        attrs = event.attrs
+        if kind == "decode_step":
+            seconds = attrs["seconds"]
+            self._step.observe(seconds)
+            for candidate_id in attrs["live_ids"]:
+                self._token.observe(seconds)
+                self._wave_histogram(
+                    candidate_id // self._engine_batch).observe(seconds)
+        elif kind == "complete":
+            self._candidate.observe(attrs["latency_seconds"])
+        elif kind == "prefill_chunk":
+            # bound on first use: runs without chunked prefill keep their
+            # metrics snapshot free of the instrument
+            self._histogram("repro.slo.prefill_chunk_seconds").observe(
+                attrs["seconds"])
+        elif kind == "retry":
+            self._registry.counter("repro.resilience.step_retries",
+                                   labels={"kind": attrs["retry_kind"]}).inc()
+        counter = self._counters.get(kind)
+        if counter is not None:
+            counter.inc()
 
 
 def histogram_summary(hist: Histogram) -> Dict[str, float]:

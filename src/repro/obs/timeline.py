@@ -11,15 +11,19 @@ chain of typed events::
         complete
 
 Each :class:`TimelineEvent` carries the **simulated** clock time it
-occurred at (a :class:`~repro.npu.timing.SimClock` reading, never host
+occurred at (a :class:`~repro.sim.SimClock` reading, never host
 wall clock), so a recorded timeline is a deterministic function of the
 run's seeds and fault plan — byte-identical across machines, which is
 what lets ``repro monitor`` diff two runs and what the anomaly layer
 (:mod:`repro.obs.anomaly`) depends on for reproducible alerts.
 
-Like the tracer, the default global log is **disabled** and the
-module-level :func:`emit` is a cheap guard-and-return, so the scheduler
-hot loop pays one function call per site when nobody is monitoring.
+The event is also the *only* record of each serving fact: the
+scheduler and ``engine.generate`` always emit, and their energy
+(:class:`~repro.obs.energy.EnergyAccountant`) and SLO/counter
+(:class:`~repro.obs.slo.SLOTracker`) bookkeeping are folds over the
+events.  Like the tracer, the default global log is **disabled**; a
+serving run then emits into a run-private log (:func:`run_event_log`)
+that nobody else sees.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "set_event_log",
     "emit",
     "timeline_enabled",
+    "run_event_log",
 ]
 
 #: The typed event vocabulary.  ``queue`` marks a request entering the
@@ -214,3 +219,13 @@ def emit(kind: str, sim_time: float, request_id: Optional[int] = None,
 
 def timeline_enabled() -> bool:
     return _default_log.enabled
+
+
+def run_event_log() -> EventLog:
+    """The log one serving run emits into.
+
+    The global log while it is enabled, so the run's events keep their
+    ``seq`` order interleaved with the fault injector's; otherwise a
+    fresh run-private log.
+    """
+    return _default_log if _default_log.enabled else EventLog()

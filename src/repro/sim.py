@@ -5,10 +5,9 @@ happens — the continuous-batching scheduler, the fault injector's
 recovery backoff, and the fleet serving layer — advances the same two
 primitives defined here:
 
-* :class:`SimClock` — the monotone accumulator of simulated seconds
-  that used to live in :mod:`repro.npu.timing`.  One clock is one
-  execution timeline; ``total_seconds`` is a makespan on the modelled
-  device, never host wall clock.
+* :class:`SimClock` — the monotone accumulator of simulated seconds.
+  One clock is one execution timeline; ``total_seconds`` is a makespan
+  on the modelled device, never host wall clock.
 * :class:`EventLoop` — a deterministic event loop over a ``SimClock``:
   callbacks scheduled at absolute sim-times fire in non-decreasing
   time order with FIFO tie-breaking (insertion sequence), and the loop
@@ -21,10 +20,6 @@ clock, and no hash/iteration-order dependence anywhere in the kernel.
 The hypothesis suite in ``tests/test_fleet_clock_property.py`` pins
 this contract (monotone firing order, cancellation never resurrects a
 handle, identical seed → identical event sequence).
-
-:mod:`repro.npu.timing` re-exports :class:`SimClock` so existing
-imports (``from repro.npu.timing import SimClock``) keep working;
-:mod:`repro.fleet.clock` re-exports both names for the fleet layer.
 """
 
 from __future__ import annotations

@@ -268,6 +268,75 @@ def _prefill_chunked() -> Dict:
             "finish_reasons": [c.finish_reason for c in result.candidates]}
 
 
+#: The two device-backed scheduler runs the ``scheduler_ledger`` golden
+#: pins: a waved decode under every fault kind, and chunked prefill
+#: with stage dispatch and a mid-run prompt admission.
+SCHEDULER_LEDGER_RUNS = ("faulted", "dispatch_chunked")
+
+
+def scheduler_ledger_run(name: str):
+    """Run one ledger config under a fresh metrics registry; returns
+    ``(result, registry)``."""
+    from ..llm import (BackendSelector, ContinuousBatchingScheduler,
+                       InferenceEngine, PromptAdmission, Sampler)
+    from ..npu import DEVICES
+    from ..obs.metrics import MetricsRegistry, set_metrics
+    from ..resilience import FaultPlan
+
+    device, model = DEVICES["oneplus_12"], _tiny_model(0)
+    if name == "faulted":
+        kwargs = dict(fault_plan=FaultPlan.parse(
+            "abort@4,dma@7,alloc@5,throttle@2:efficiency:6"))
+    else:
+        kwargs = dict(prefill_chunk=3,
+                      dispatch=BackendSelector(device, model.config),
+                      admissions=[PromptAdmission(
+                          [7, 7, 7, 2, 5, 1, 8, 8, 4, 3, 9, 6],
+                          n_candidates=3, max_new_tokens=6, at_step=2)])
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    try:
+        engine = InferenceEngine(model, batch=4, max_context=48,
+                                 device=device, kv_backend="paged")
+        result = ContinuousBatchingScheduler(engine).generate(
+            _PROMPT, n_candidates=10, max_new_tokens=10,
+            sampler=Sampler(temperature=0.8, seed=11),
+            length_schedule=[3, 10, 5, 8], **kwargs)
+    finally:
+        set_metrics(previous)
+    return result, registry
+
+
+def scheduler_ledger(result, registry) -> Dict:
+    """Every energy float (as ``float.hex``), SLO histogram and
+    scheduler counter of one run."""
+    ledger: Dict = {
+        "joules": result.joules.hex(),
+        "prefill_joules": result.prefill_joules.hex(),
+        "idle_joules": result.idle_joules.hex(),
+        "migration_seconds": result.migration_seconds.hex(),
+        "wave_joules": {str(w): j.hex() for w, j in result.wave_joules.items()},
+        "candidate_joules": [c.joules.hex() for c in result.candidates]}
+    for name, entry in registry.snapshot().items():
+        if name.startswith("repro.slo."):
+            hist = registry.histogram(name)
+            ledger[name] = {"count": hist.count, "sum": hist.total.hex(),
+                            "bucket_counts": " ".join(map(str, hist.counts))}
+        elif name.startswith(("repro.scheduler.", "repro.resilience.")) \
+                and entry["type"] == "counter":
+            ledger[name] = entry["value"]
+    return ledger
+
+
+@_register("scheduler_ledger", "json",
+           "hex-exact energy, SLO histograms and counters of two "
+           "device-backed scheduler runs (faulted; dispatch + chunked "
+           "prefill + prompt admission)")
+def _scheduler_ledger() -> Dict:
+    return {name: scheduler_ledger(*scheduler_ledger_run(name))
+            for name in SCHEDULER_LEDGER_RUNS}
+
+
 @_register("speculative_greedy", "json",
            "greedy speculative decode trace (independent draft model)")
 def _speculative_greedy() -> Dict:

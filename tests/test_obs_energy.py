@@ -10,10 +10,10 @@ from repro.npu.timing import KernelCost, TimingModel
 from repro.obs.energy import (
     ZERO_ENERGY,
     EnergyAccountant,
-    EnergyBreakdown,
     EnergyModel,
     tokens_per_joule,
 )
+from repro.obs.timeline import EventLog
 from repro.perf.power import PowerBudget
 
 
@@ -89,12 +89,23 @@ class TestEnergyModel:
         assert data["joules"] == pytest.approx(parts)
 
 
+def _event(kind, request_id=None, **attrs):
+    return EventLog().emit(kind, 0.0, request_id=request_id, **attrs)
+
+
+def _assign_waves(accountant, waves):
+    for rid, wave in waves.items():
+        accountant.apply(_event("wave_assign", request_id=rid, wave=wave))
+
+
 class TestEnergyAccountant:
     def test_decode_step_splits_equally_across_live_candidates(self):
         accountant = EnergyAccountant()
-        share = accountant.charge_step(EnergyBreakdown(joules=0.009),
-                                       request_ids=[0, 1, 2],
-                                       waves=[0, 0, 1])
+        _assign_waves(accountant, {0: 0, 1: 0, 2: 1})
+        charges = accountant.apply(_event("decode_step", joules=0.009,
+                                          live_ids=[0, 1, 2]))
+        share = charges[0][1]
+        assert [rid for rid, _ in charges] == [0, 1, 2]
         assert share == pytest.approx(0.003)
         assert accountant.request_joules(0) == pytest.approx(0.003)
         assert accountant.per_wave[0] == pytest.approx(0.006)
@@ -103,25 +114,54 @@ class TestEnergyAccountant:
 
     def test_empty_live_set_charges_run_level_only(self):
         accountant = EnergyAccountant()
-        share = accountant.charge_step(EnergyBreakdown(joules=0.004))
-        assert share == 0.0
+        charges = accountant.apply(_event("decode_step", joules=0.004))
+        assert charges == []
         assert accountant.total_j == pytest.approx(0.004)
         assert accountant.per_request == {}
 
     def test_prefill_and_idle_buckets(self):
         accountant = EnergyAccountant()
-        accountant.charge_prefill(EnergyBreakdown(joules=0.002),
-                                  request_id=5, wave=1)
-        accountant.charge_idle(EnergyBreakdown(joules=0.001))
+        _assign_waves(accountant, {5: 1})
+        accountant.apply(_event("rebuild", request_id=5, tokens=3,
+                                joules=0.002))
+        accountant.apply(_event("retry", joules=0.001))
         assert accountant.prefill_j == pytest.approx(0.002)
         assert accountant.idle_j == pytest.approx(0.001)
         assert accountant.request_joules(5) == pytest.approx(0.002)
+        assert accountant.per_wave == {1: pytest.approx(0.002)}
         assert accountant.total_j == pytest.approx(0.003)
+
+    def test_prefill_chunk_and_backend_switch_are_run_level(self):
+        accountant = EnergyAccountant()
+        accountant.apply(_event("prefill_chunk", joules=0.002))
+        accountant.apply(_event("prefill", joules=0.004))
+        accountant.apply(_event("backend_switch", joules=0.001))
+        assert accountant.prefill_j == pytest.approx(0.006)
+        assert accountant.idle_j == pytest.approx(0.001)
+        assert accountant.per_request == {} and accountant.per_wave == {}
+
+    def test_empty_rebuild_charges_nothing(self):
+        # an empty prefix runs no forward: no per-candidate or per-wave
+        # key may appear for it
+        accountant = EnergyAccountant()
+        _assign_waves(accountant, {4: 1})
+        assert accountant.apply(_event("rebuild", request_id=4, tokens=0,
+                                       joules=0.0)) == []
+        assert accountant.per_request == {} and accountant.per_wave == {}
+        assert accountant.total_j == 0.0
+
+    def test_uncharged_kinds_are_ignored(self):
+        accountant = EnergyAccountant()
+        for kind in ("queue", "admit", "complete", "fault", "throttle"):
+            assert accountant.apply(_event(kind, request_id=0,
+                                           joules=1.0)) == []
+        assert accountant.total_j == 0.0
 
     def test_to_json_uses_sorted_string_keys(self):
         accountant = EnergyAccountant()
-        accountant.charge_step(EnergyBreakdown(joules=0.002),
-                               request_ids=[3, 1], waves=[0, 0])
+        _assign_waves(accountant, {3: 0, 1: 0})
+        accountant.apply(_event("decode_step", joules=0.002,
+                                live_ids=[3, 1]))
         data = accountant.to_json()
         assert list(data["per_request"]) == ["1", "3"]
         assert set(data) == {"total_j", "prefill_j", "decode_j", "idle_j",

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.slo import MAX_TRACKED_WAVES, SLOTracker, hdr_buckets, slo_summary
+from repro.obs.timeline import EventLog
 
 
 class TestHdrBuckets:
@@ -35,6 +38,18 @@ class TestHdrBuckets:
         with pytest.raises(ObservabilityError):
             hdr_buckets(1e-6, 1.0, precision_bits=9)
 
+    def test_rejects_nan_max(self):
+        with pytest.raises(ObservabilityError):
+            hdr_buckets(1e-6, math.nan)
+
+    def test_rejects_nan_min(self):
+        with pytest.raises(ObservabilityError):
+            hdr_buckets(math.nan, 1.0)
+
+    def test_rejects_infinite_max(self):
+        with pytest.raises(ObservabilityError):
+            hdr_buckets(1e-6, math.inf)
+
     def test_histogram_quantile_error_bounded(self):
         from repro.obs.metrics import Histogram
 
@@ -47,13 +62,21 @@ class TestHdrBuckets:
         assert h.percentile(95.0) == pytest.approx(exact, rel=1.0 / 16 + 0.02)
 
 
+def _event(kind, request_id=None, **attrs):
+    return EventLog().emit(kind, 0.0, request_id=request_id, **attrs)
+
+
+def _step(seconds, live_ids):
+    return _event("decode_step", seconds=seconds, live_ids=live_ids)
+
+
 class TestSLOTracker:
     def test_records_step_token_wave_candidate(self):
         reg = MetricsRegistry()
         tracker = SLOTracker(reg, engine_batch=4)
-        tracker.observe_step(1e-3, [0, 1, 4, 5])   # waves 0 and 1
-        tracker.observe_step(2e-3, [4, 5])
-        tracker.observe_candidate(0, 5e-3)
+        tracker.apply(_step(1e-3, [0, 1, 4, 5]))   # waves 0 and 1
+        tracker.apply(_step(2e-3, [4, 5]))
+        tracker.apply(_event("complete", request_id=0, latency_seconds=5e-3))
         summary = slo_summary(reg)
         assert summary["repro.slo.step_latency_seconds"]["count"] == 2
         assert summary["repro.slo.token_latency_seconds"]["count"] == 6
@@ -67,7 +90,7 @@ class TestSLOTracker:
         reg = MetricsRegistry()
         tracker = SLOTracker(reg, engine_batch=1)
         for candidate in range(2 * MAX_TRACKED_WAVES):
-            tracker.observe_step(1e-4, [candidate])
+            tracker.apply(_step(1e-4, [candidate]))
         wave_names = [n for n in reg.snapshot() if ".wave" in n]
         assert len(wave_names) <= MAX_TRACKED_WAVES
         last = f"repro.slo.wave{MAX_TRACKED_WAVES - 1}.token_latency_seconds"
@@ -76,6 +99,36 @@ class TestSLOTracker:
     def test_rejects_bad_batch(self):
         with pytest.raises(ObservabilityError):
             SLOTracker(MetricsRegistry(), engine_batch=0)
+
+    def test_prefill_chunk_histogram_is_lazy(self):
+        reg = MetricsRegistry()
+        tracker = SLOTracker(reg, engine_batch=2)
+        assert "repro.slo.prefill_chunk_seconds" not in reg.snapshot()
+        tracker.apply(_event("prefill_chunk", seconds=2e-3))
+        assert reg.snapshot()["repro.slo.prefill_chunk_seconds"]["count"] == 1
+
+    def test_counts_one_per_event(self):
+        reg = MetricsRegistry()
+        tracker = SLOTracker(reg, engine_batch=2)
+        for event in (_event("admit", request_id=0),
+                      _event("admit", request_id=1),
+                      _event("rebuild", request_id=0, tokens=2),
+                      _event("evict", request_id=1, tokens=1),
+                      _event("complete", request_id=1, latency_seconds=1e-3),
+                      _event("retry", retry_kind="dma_timeout"),
+                      _event("retry", retry_kind="dma_timeout"),
+                      _event("retry", retry_kind="session_abort")):
+            tracker.apply(event)
+        snap = reg.snapshot()
+        assert snap["repro.scheduler.admissions"]["value"] == 2
+        assert snap["repro.scheduler.retired"]["value"] == 1
+        assert snap["repro.resilience.rebuilds"]["value"] == 1
+        assert snap["repro.resilience.evictions"]["value"] == 1
+        assert snap["repro.resilience.step_retries"]["value"] == 3
+        assert snap["repro.resilience.step_retries{kind=dma_timeout}"][
+            "value"] == 2
+        assert snap["repro.resilience.step_retries{kind=session_abort}"][
+            "value"] == 1
 
     def test_summary_skips_empty_and_non_slo(self):
         reg = MetricsRegistry()
@@ -132,3 +185,37 @@ class TestSchedulerIntegration:
         hist = slo_summary(reg)["repro.slo.candidate_latency_seconds"]
         # a candidate cannot live longer than the whole run
         assert hist["max"] <= result.sim_seconds + 1e-12
+
+    def test_scheduler_binds_the_registry_installed_at_run_time(self):
+        from repro.llm import (
+            ContinuousBatchingScheduler,
+            InferenceEngine,
+            NPUTransformer,
+            Sampler,
+            TransformerWeights,
+        )
+        from repro.llm.config import tiny_config
+
+        weights = TransformerWeights.generate(tiny_config(), seed=0)
+        engine = InferenceEngine(NPUTransformer(weights), batch=2,
+                                 max_context=32, kv_backend="paged")
+        # built under whatever registry is installed now, run under reg
+        scheduler = ContinuousBatchingScheduler(engine)
+        reg = MetricsRegistry()
+        previous = set_metrics(reg)
+        try:
+            result = scheduler.generate(
+                [1, 2, 3], n_candidates=4, max_new_tokens=4,
+                sampler=Sampler(temperature=0.8, seed=0))
+        finally:
+            set_metrics(previous)
+        snap = reg.snapshot()
+        assert snap["repro.scheduler.admissions"]["value"] == 4
+        assert snap["repro.scheduler.retired"]["value"] == 4
+        assert snap["repro.scheduler.live_batch"]["max"] == 2
+        for name in ("repro.resilience.step_retries",
+                     "repro.resilience.evictions",
+                     "repro.resilience.rebuilds"):
+            assert snap[name]["value"] == 0
+        assert (snap["repro.slo.step_latency_seconds"]["count"]
+                == result.n_steps)

@@ -26,7 +26,7 @@ from repro.npu import DEVICES
 from repro.npu.memory import TCM
 from repro.npu.power_mgmt import GOVERNORS, THROTTLE_LADDER, downgrade
 from repro.npu.soc import FastRPCSession, get_device
-from repro.npu.timing import SimClock
+from repro.sim import SimClock
 from repro.resilience import (
     FaultEvent,
     FaultInjector,

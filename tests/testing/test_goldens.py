@@ -16,7 +16,7 @@ from repro.testing import (
 EXPECTED_CASES = {
     "gemm_q4", "gemm_q8", "attention_lut", "attention_poly32",
     "decode_tiny", "scheduler_chaos", "speculative_greedy",
-    "checkpoint_q4_format", "awq_q4",
+    "checkpoint_q4_format", "awq_q4", "scheduler_ledger",
 }
 
 

@@ -392,6 +392,84 @@ def _fleet_explain() -> Dict:
     return report.to_json()
 
 
+#: The two simulations the ``fleet_ledger`` golden pins: a saturated,
+#: hedged window under every fleet fault kind with one engine-backed
+#: device whose requests carry scheduler faults, and a fault-free
+#: window that sheds.
+FLEET_LEDGER_RUNS = ("faulted", "shedding")
+
+#: The faulted run's fleet fault schedule; with it every
+#: :class:`~repro.fleet.FleetResult` counter of that run is nonzero.
+_FLEET_LEDGER_FAULTS = ("dev#4:battery@0.3,dev#0:crash@1.78:1.93,"
+                        "dev#1:straggle@0.29:3:4,dev#3:drop@1.56,"
+                        "dev#3:drop@2.12,dev#1:drop@2.05,dev#3:drop@2.75")
+
+
+def fleet_ledger_run(name: str):
+    """Simulate one ``fleet_ledger`` config; returns its FleetResult."""
+    from dataclasses import replace
+
+    from ..fleet import (AdmissionController, EngineFleetDevice,
+                         FailoverPolicy, FleetSimulation, HedgePolicy,
+                         TraceConfig, build_population, generate_trace)
+    from ..llm import ContinuousBatchingScheduler, InferenceEngine
+    from ..npu import DEVICES
+    from ..resilience import FaultPlan
+
+    trace = TraceConfig(qps=16.0, max_requests=60, seed=3,
+                        prompt_tokens=(4, 12), n_candidates=(1, 4),
+                        max_new_tokens=(4, 12))
+    if name == "shedding":
+        return FleetSimulation(
+            build_population(3), generate_trace(trace),
+            admission=AdmissionController(max_queue_depth=4)).run()
+    device = DEVICES["oneplus_12"]
+    engine = InferenceEngine(_tiny_model(0), batch=4, max_context=48,
+                             device=device, kv_backend="paged")
+    devices = build_population(4) + [EngineFleetDevice(
+        device_id=4, scheduler=ContinuousBatchingScheduler(engine),
+        device=device)]
+    requests = [replace(r, fault_spec="abort@2")
+                for r in generate_trace(trace)]
+    return FleetSimulation(
+        devices, requests,
+        admission=AdmissionController(max_queue_depth=4),
+        fault_plan=FaultPlan.parse(_FLEET_LEDGER_FAULTS),
+        failover=FailoverPolicy(max_attempts=1, seed=3),
+        hedge=HedgePolicy(threshold_seconds=0.2), seed=3,
+        breaker_failure_threshold=1, breaker_cooldown_seconds=0.5).run()
+
+
+def fleet_ledger_counters(result) -> Dict[str, int]:
+    """Every integer tally of a FleetResult, by field name."""
+    from dataclasses import fields
+
+    return {f.name: getattr(result, f.name) for f in fields(result)
+            if f.type == "int"}
+
+
+def fleet_ledger(result) -> Dict:
+    """Every tally, float total (as ``float.hex``) and latency histogram
+    of one fleet run."""
+    ledger: Dict = dict(fleet_ledger_counters(result))
+    ledger["joules"] = result.joules.hex()
+    ledger["makespan_seconds"] = result.makespan_seconds.hex()
+    for name, hist in (("request_latency", result.request_latency),
+                       ("queue_wait", result.queue_wait),
+                       ("token_latency", result.token_latency())):
+        ledger[name] = {"count": hist.count, "sum": hist.total.hex(),
+                        "bucket_counts": " ".join(map(str, hist.counts))}
+    return ledger
+
+
+@_register("fleet_ledger", "json",
+           "hex-exact tallies, energy and latency histograms of two "
+           "fleet simulations (faulted + hedged; fault-free shedding)")
+def _fleet_ledger() -> Dict:
+    return {name: fleet_ledger(fleet_ledger_run(name))
+            for name in FLEET_LEDGER_RUNS}
+
+
 # ----------------------------------------------------------------------
 # cases: on-disk format conformance
 # ----------------------------------------------------------------------

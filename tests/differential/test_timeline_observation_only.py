@@ -1,13 +1,14 @@
 """Differential: the global event log only observes a run.
 
 Serving runs always emit their timeline events and fold energy, SLO
-histograms and counters from them; enabling the global log only
+histograms and counters from them; a fleet simulation folds its
+tallies from its events the same way.  Enabling the global log only
 changes *where* the events go.  Every number a run reports — each
 energy float, every SLO histogram bucket, every counter, the candidate
 tokens and the whole metrics snapshot — must be bitwise identical with
 the global log enabled and disabled, for the scheduler (both
-``scheduler_ledger`` golden configs) and for lock-step
-``engine.generate``.
+``scheduler_ledger`` golden configs), for lock-step ``engine.generate``
+and for the fleet (both ``fleet_ledger`` golden configs).
 """
 
 import json
@@ -19,7 +20,10 @@ from repro.npu import DEVICES
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.timeline import EventLog, set_event_log
 from repro.testing.goldens import (
+    FLEET_LEDGER_RUNS,
     SCHEDULER_LEDGER_RUNS,
+    fleet_ledger,
+    fleet_ledger_run,
     scheduler_ledger,
     scheduler_ledger_run,
 )
@@ -78,3 +82,11 @@ def test_engine_generate_is_identical_with_log_on_and_off():
     assert on.sequences == off.sequences
     assert on.n_generated_tokens == off.n_generated_tokens
     assert _snapshot_bytes(on_reg) == _snapshot_bytes(off_reg)
+
+
+@pytest.mark.parametrize("name", FLEET_LEDGER_RUNS)
+def test_fleet_run_is_identical_with_log_on_and_off(name):
+    off, off_events = _with_log(False, lambda: fleet_ledger_run(name))
+    on, on_events = _with_log(True, lambda: fleet_ledger_run(name))
+    assert off_events == 0 and on_events > 0
+    assert fleet_ledger(on) == fleet_ledger(off)

@@ -295,6 +295,19 @@ class TestChaosSimulation:
         assert result.n_breaker_closes >= 1
         result.check_conservation()
 
+    def test_half_open_probe_success_closes_the_breaker_once(self):
+        # one lost dispatch trips a threshold-1 breaker; after the
+        # cooldown the half-open probe is served, closing it exactly once
+        sim = _chaos_sim(n_devices=1, qps=4.0, n_requests=40,
+                         fault_spec="dev#0:drop@0.5",
+                         breaker_failure_threshold=1,
+                         breaker_cooldown_seconds=0.5)
+        result = sim.run()
+        assert result.n_drops == 1
+        assert result.n_breaker_opens == 1
+        assert result.n_breaker_closes == 1
+        result.check_conservation()
+
     def test_fault_plan_rejects_unknown_device(self):
         with pytest.raises(FleetError):
             _chaos_sim(n_devices=2, fault_spec="dev#9:crash@1")

@@ -12,16 +12,28 @@ from repro.testing import (
     check_goldens,
     update_goldens,
 )
+from repro.testing.goldens import fleet_ledger_counters, fleet_ledger_run
 
 EXPECTED_CASES = {
     "gemm_q4", "gemm_q8", "attention_lut", "attention_poly32",
-    "decode_tiny", "scheduler_chaos", "speculative_greedy",
-    "checkpoint_q4_format", "awq_q4", "scheduler_ledger",
+    "model_logits", "decode_tiny", "scheduler_chaos", "prefill_chunked",
+    "speculative_greedy", "checkpoint_q4_format", "awq_q4",
+    "scheduler_ledger", "fleet.capacity", "fleet.chaos", "fleet.explain",
+    "fleet_ledger",
 }
 
 
 def test_registry_contains_expected_cases():
     assert EXPECTED_CASES <= set(GOLDEN_CASES)
+
+
+def test_fleet_ledger_faulted_run_exercises_every_counter():
+    """Each tally of the faulted fleet run is nonzero, so the golden
+    pins every rule that feeds it.  ``n_unserved`` is an end-of-run
+    read of the queue, not a tally."""
+    counters = fleet_ledger_counters(fleet_ledger_run("faulted"))
+    counters.pop("n_unserved")
+    assert [name for name, value in counters.items() if not value] == []
 
 
 def test_committed_fixtures_exist_and_pass():

@@ -26,6 +26,7 @@ proving the shared-kernel extraction is a no-op).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional
@@ -126,9 +127,9 @@ class BatteryRail:
     drained_joules: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacity_joules <= 0:
+        if not 0 < self.capacity_joules < math.inf:
             raise FleetError(
-                f"battery capacity must be positive, got "
+                f"battery capacity must be positive and finite, got "
                 f"{self.capacity_joules}")
 
     def draw(self, joules: float) -> None:
@@ -186,11 +187,8 @@ class FleetDevice:
         self.busy = False
         self.idle_since = 0.0
         self.n_served = 0
-        self.tokens_generated = 0
         self.busy_seconds = 0.0
         self.joules = 0.0
-        self.n_faults = 0
-        self.n_retries = 0
 
     @property
     def generation(self) -> str:
@@ -223,11 +221,8 @@ class FleetDevice:
             outcome.joules *= service_multiplier
         self.busy = True
         self.n_served += 1
-        self.tokens_generated += outcome.tokens
         self.busy_seconds += outcome.service_seconds
         self.joules += outcome.joules
-        self.n_faults += outcome.n_faults
-        self.n_retries += outcome.n_retries
         self.battery.draw(outcome.joules)
         return outcome
 

@@ -33,9 +33,11 @@ before its re-offer to ``failover_backoff`` and the dead dispatch's
 progress to ``service_lost``; a cancelled hedge loser's energy lands in
 ``hedge_wasted`` joules; a breaker quarantine shows up as ``queue_wait``
 on the requests it delays (quarantine removes capacity, it does not
-touch in-flight work).  :meth:`FleetHealth.counters` is the
-cross-check surface: the invariant tests assert blame phases appear
-only when the mechanism that produces them actually fired.
+touch in-flight work).  The objects here hold only the state the
+recovery decisions need; how often each mechanism fired is counted
+once, by :meth:`~repro.fleet.simulation.FleetResult.apply` folding the
+``device_down`` / ``fault`` / ``breaker_open`` / ``breaker_close``
+events the simulation records.
 """
 
 from __future__ import annotations
@@ -98,8 +100,6 @@ class CircuitBreaker:
         self.state = BREAKER_CLOSED
         self.consecutive_failures = 0
         self.n_trips = 0
-        self.n_opens = 0
-        self.n_closes = 0
 
     # ------------------------------------------------------------------
     @property
@@ -130,7 +130,6 @@ class CircuitBreaker:
                 or self.consecutive_failures >= self.failure_threshold):
             self.state = BREAKER_OPEN
             self.n_trips += 1
-            self.n_opens += 1
             return self.cooldown(self.n_trips)
         return None
 
@@ -140,7 +139,6 @@ class CircuitBreaker:
         if self.state == BREAKER_HALF_OPEN:
             self.state = BREAKER_CLOSED
             self.n_trips = 0
-            self.n_closes += 1
             return True
         return False
 
@@ -165,10 +163,6 @@ class DeviceHealth:
         self.online = True
         self.straggle_factor = 1.0
         self.straggle_until = 0.0
-        self.n_crashes = 0
-        self.n_reboots = 0
-        self.n_drops = 0
-        self.n_straggles = 0
 
     def service_multiplier(self, now: float) -> float:
         """Service-time stretch in effect at ``now`` (1.0 = healthy)."""
@@ -178,15 +172,6 @@ class DeviceHealth:
                        duration_seconds: float) -> None:
         self.straggle_factor = factor
         self.straggle_until = now + duration_seconds
-        self.n_straggles += 1
-
-    def crash(self) -> None:
-        self.online = False
-        self.n_crashes += 1
-
-    def reboot(self) -> None:
-        self.online = True
-        self.n_reboots += 1
 
     def dispatchable(self) -> bool:
         return self.online and self.breaker.allows_dispatch
@@ -304,31 +289,3 @@ class FleetHealth:
 
     def __getitem__(self, device_id: int) -> DeviceHealth:
         return self.devices[device_id]
-
-    @property
-    def n_breaker_opens(self) -> int:
-        return sum(h.breaker.n_opens for h in self.devices.values())
-
-    @property
-    def n_breaker_closes(self) -> int:
-        return sum(h.breaker.n_closes for h in self.devices.values())
-
-    def offline_devices(self) -> int:
-        return sum(1 for h in self.devices.values() if not h.online)
-
-    def counters(self) -> Dict[str, int]:
-        """Fleet-wide fault/recovery totals across every device.
-
-        The blame cross-check surface: ``service_lost`` nanoseconds can
-        only exist when ``crashes + drops`` fired, ``hedge_wasted``
-        joules require a hedge policy, and breaker opens bound how much
-        capacity quarantine could have added to ``queue_wait``.
-        """
-        return {
-            "crashes": sum(h.n_crashes for h in self.devices.values()),
-            "reboots": sum(h.n_reboots for h in self.devices.values()),
-            "drops": sum(h.n_drops for h in self.devices.values()),
-            "straggles": sum(h.n_straggles for h in self.devices.values()),
-            "breaker_opens": self.n_breaker_opens,
-            "breaker_closes": self.n_breaker_closes,
-        }

@@ -68,8 +68,10 @@ class TraceConfig:
     max_new_tokens: Tuple[int, int] = (16, 96)
 
     def validate(self) -> None:
-        if self.qps <= 0:
-            raise FleetError(f"qps must be positive, got {self.qps}")
+        # a NaN qps or horizon would pass "<= 0" and never end the trace
+        if not 0 < self.qps < math.inf:
+            raise FleetError(f"qps must be positive and finite, got "
+                             f"{self.qps}")
         if self.pattern not in ARRIVAL_PATTERNS:
             raise FleetError(
                 f"unknown arrival pattern {self.pattern!r}; known: "
@@ -77,9 +79,10 @@ class TraceConfig:
         if self.horizon_seconds is None and self.max_requests is None:
             raise FleetError(
                 "trace needs horizon_seconds and/or max_requests to bound it")
-        if self.horizon_seconds is not None and self.horizon_seconds <= 0:
+        if (self.horizon_seconds is not None
+                and not 0 < self.horizon_seconds < math.inf):
             raise FleetError(
-                f"horizon_seconds must be positive, got "
+                f"horizon_seconds must be positive and finite, got "
                 f"{self.horizon_seconds}")
         if self.max_requests is not None and self.max_requests <= 0:
             raise FleetError(

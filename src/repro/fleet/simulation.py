@@ -25,13 +25,12 @@ with no request served twice (hedge losers are cancelled before their
 completion fires) — checked at the end of every run and fuzzed by the
 ``fleet.chaos`` oracle.
 
-Timeline integration: with the structured event log armed
-(:mod:`repro.obs.timeline`), the simulation emits ``queue`` /
-``dispatch`` / ``shed`` / ``complete`` events per request — plus
-``device_down`` / ``device_up`` / ``failover`` / ``hedge`` /
-``breaker_open`` / ``breaker_close`` and ``fault`` under chaos — so
-``repro monitor`` folds a fleet scenario exactly like a single-engine
-one.
+Timeline integration: each fleet fact is recorded once, as a typed
+:mod:`repro.obs.timeline` event (``queue`` / ``dispatch`` / ``shed`` /
+``complete``, plus ``device_down`` / ``device_up`` / ``failover`` /
+``hedge`` / ``breaker_open`` / ``breaker_close`` / ``fault`` under
+chaos) that :meth:`FleetResult.apply` folds, so ``repro monitor`` and
+explain read a fleet scenario exactly like a single-engine one.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import FleetError
-from ..obs import timeline as obs_timeline
 from ..obs.metrics import Histogram
 from ..obs.slo import hdr_buckets
+from ..obs.timeline import EventLog, TimelineEvent, run_event_log
 from ..sim import EventHandle, EventLoop
 from .devices import FleetDevice
 from .health import FleetHealth, FailoverPolicy, HedgePolicy
@@ -76,7 +75,8 @@ class _Dispatch:
 
 @dataclass
 class FleetResult:
-    """Raw outcome of one simulated serving window."""
+    """Raw outcome of one simulated serving window: every tally but
+    ``n_unserved``/``peak_queue_depth`` folds from the run's events."""
 
     devices: List[FleetDevice]
     n_arrivals: int = 0
@@ -107,6 +107,68 @@ class FleetResult:
         "fleet.request_latency_seconds", 1e-3, 1074.0))
     queue_wait: Histogram = field(default_factory=lambda: _fleet_histogram(
         "fleet.queue_wait_seconds", 1e-4, 1074.0))
+    #: joules priced by each live (request, device) leg's dispatch
+    _leg_joules: Dict[Tuple[int, int], float] = field(
+        default_factory=dict, init=False, repr=False)
+
+    def apply(self, event: TimelineEvent) -> None:
+        """Fold one of the run's fleet events into the tallies (the only
+        writer).  A leg's joules are charged at the event that ends it
+        (``complete``, cancelled ``hedge``, ``failover``), in order."""
+        kind, attrs, rid = event.kind, event.attrs, event.request_id
+        if kind == "queue":
+            if not attrs.get("reoffer"):
+                self.n_arrivals += 1
+        elif kind == "dispatch":
+            self.n_dispatched += 1
+            self._leg_joules[rid, attrs["device"]] = attrs["joules"]
+            if not attrs.get("hedged"):  # zero waits: the first bucket
+                self.queue_wait.observe(attrs["wait_seconds"])
+        elif kind == "complete":
+            self._end_leg(rid, attrs["device"], attrs)
+            self.n_completed += 1
+            self.tokens += attrs["tokens"]
+            self.n_faults += attrs.get("n_faults", 0)
+            self.n_retries += attrs.get("n_retries", 0)
+            self.makespan_seconds = max(self.makespan_seconds,
+                                        event.sim_time)
+            self.request_latency.observe(attrs["latency_seconds"])
+        elif kind == "shed":
+            self.n_shed += 1
+        elif kind == "hedge":
+            if attrs.get("cancelled"):
+                self._end_leg(rid, attrs["loser"], attrs)
+                self.n_hedge_cancelled += 1
+            else:
+                self.n_hedges += 1
+        elif kind == "failover":
+            self._end_leg(rid, attrs["from_device"], attrs)
+            if attrs["outcome"] == "retry":
+                self.n_failovers += 1
+            else:
+                self.n_failed += 1
+        elif kind == "device_down":
+            self.n_fleet_faults += 1
+            self.n_crashes += 1
+        elif kind == "device_up":
+            self.n_reboots += 1
+        elif kind == "fault":
+            self.n_fleet_faults += 1
+            if attrs["fault_kind"] == "straggle":
+                self.n_straggles += 1
+            elif attrs["fault_kind"] == "battery_drain":
+                self.n_battery_faults += 1
+        elif kind == "breaker_open":
+            self.n_breaker_opens += 1
+        elif kind == "breaker_close":
+            self.n_breaker_closes += 1
+
+    def _end_leg(self, rid: int, device_id: int, attrs: Dict) -> None:
+        # every leg drew its energy at dispatch: served, cancelled and
+        # lost legs alike keep the fleet ledger honest about waste
+        self.joules += self._leg_joules.pop((rid, device_id))
+        if attrs.get("reason") == "drop":
+            self.n_drops += 1
 
     def token_latency(self) -> Histogram:
         """All devices' token-latency histograms folded into one.
@@ -220,9 +282,15 @@ class FleetSimulation:
         self._completed_ids: Set[int] = set()
         self._hedge_pending: List[int] = []
         self.result = FleetResult(devices=self.devices)
+        self._log: Optional[EventLog] = None
+
+    def _record(self, kind: str, now: float, **attrs) -> None:
+        """Emit one fleet fact and fold it into the result."""
+        self.result.apply(self._log.emit(kind, now, **attrs))
 
     # ------------------------------------------------------------------
     def run(self) -> FleetResult:
+        self._log = run_event_log()
         # fault events enter the heap first: at equal timestamps a
         # fault fires before an arrival, deterministically
         for event in self._fault_events:
@@ -230,22 +298,22 @@ class FleetSimulation:
         for request in self.requests:
             self.loop.at(request.arrival_seconds, self._arrive, request)
         self.loop.run()
+        # drop a run-private log now: the loop's handle/dispatch cycles
+        # would otherwise keep it alive until the next gc
+        self._log = None
         # whatever is still queued after the last completion can never
         # be served (every device depleted/offline): account, don't lose
         leftover = self.admission.drain()
         self.result.n_unserved = len(leftover)
         self.result.peak_queue_depth = self.admission.peak_depth
-        self.result.n_breaker_opens = self.health.n_breaker_opens
-        self.result.n_breaker_closes = self.health.n_breaker_closes
         self.result.check_conservation()
         return self.result
 
     # ------------------------------------------------------------------
     def _arrive(self, request: FleetRequest) -> None:
         now = self.loop.now
-        self.result.n_arrivals += 1
-        obs_timeline.emit("queue", now, request_id=request.request_id,
-                          tenant=request.tenant)
+        self._record("queue", now, request_id=request.request_id,
+                     tenant=request.tenant)
         admitted, shed = self.admission.offer(request)
         if not admitted:
             self._shed(request, now)
@@ -254,10 +322,8 @@ class FleetSimulation:
         self._dispatch()
 
     def _shed(self, request: FleetRequest, now: float) -> None:
-        self.result.n_shed += 1
-        obs_timeline.emit("shed", now, request_id=request.request_id,
-                          tenant=request.tenant,
-                          queue_depth=len(self.admission))
+        self._record("shed", now, request_id=request.request_id,
+                     tenant=request.tenant, queue_depth=len(self.admission))
 
     # ------------------------------------------------------------------
     # dispatch
@@ -296,7 +362,8 @@ class FleetSimulation:
             request = self.admission.pop()
             assert request is not None
             wait = now - request.arrival_seconds
-            self.queue_wait_observe(wait)
+            # the dispatch event folds this wait into result.queue_wait
+            # before the hedge decision reads it
             self._start_dispatch(request, device, now, wait, hedged=False)
             if (hedge is not None
                     and hedge.should_hedge(wait, self.result.queue_wait)):
@@ -328,8 +395,7 @@ class FleetSimulation:
                 return  # stays pending; retried when a device frees
             self._hedge_pending.pop(0)
             primary = legs[0]
-            self.result.n_hedges += 1
-            obs_timeline.emit(
+            self._record(
                 "hedge", now, request_id=rid,
                 primary=primary.device_id,
                 secondary=partner.device_id,
@@ -343,7 +409,6 @@ class FleetSimulation:
         multiplier = self.health[device.device_id].service_multiplier(now)
         outcome = device.serve(request, now,
                                service_multiplier=multiplier)
-        self.result.n_dispatched += 1
         attrs = dict(request_id=request.request_id,
                      device=device.device_id,
                      generation=device.generation,
@@ -352,18 +417,13 @@ class FleetSimulation:
                      joules=outcome.joules)
         if hedged:
             attrs["hedged"] = True
-        obs_timeline.emit("dispatch", now, **attrs)
+        self._record("dispatch", now, **attrs)
         dispatch = _Dispatch(request=request, device_id=device.device_id,
                              outcome=outcome, handle=None,  # set below
                              start_seconds=now, hedged=hedged)
         dispatch.handle = self.loop.after(outcome.service_seconds,
                                           self._complete, dispatch)
         self._inflight.setdefault(request.request_id, []).append(dispatch)
-
-    def queue_wait_observe(self, wait: float) -> None:
-        # zero waits (dispatch at arrival) sit below the first bound —
-        # fine, the histogram's first bucket covers them
-        self.result.queue_wait.observe(wait)
 
     # ------------------------------------------------------------------
     # completion (and first-completion-wins hedge cancellation)
@@ -375,19 +435,10 @@ class FleetSimulation:
         legs = self._inflight.pop(rid, [dispatch])
         losers = [leg for leg in legs if leg is not dispatch]
         for loser in losers:
-            self.loop.cancel(loser.handle)
-            loser_device = self._by_id[loser.device_id]
-            unused = (loser.start_seconds + loser.outcome.service_seconds
-                      - now)
-            loser_device.release(now, unused_seconds=unused)
-            # the loser's energy was really drawn from its battery at
-            # dispatch; keep the fleet ledger honest about wasted work
-            self.result.joules += loser.outcome.joules
-            self.result.n_hedge_cancelled += 1
-            obs_timeline.emit("hedge", now, request_id=rid,
-                              loser=loser.device_id,
-                              winner=dispatch.device_id,
-                              cancelled=True)
+            self._cancel_leg(loser, now)
+            self._record("hedge", now, request_id=rid,
+                         loser=loser.device_id, winner=dispatch.device_id,
+                         cancelled=True)
         if rid in self._completed_ids:
             raise FleetError(
                 f"request {rid} completed twice — hedge cancellation "
@@ -396,24 +447,20 @@ class FleetSimulation:
         device = self._by_id[dispatch.device_id]
         outcome = dispatch.outcome
         device.complete(request, outcome, now)
-        result = self.result
-        result.n_completed += 1
-        result.tokens += outcome.tokens
-        result.joules += outcome.joules
-        result.n_faults += outcome.n_faults
-        result.n_retries += outcome.n_retries
-        result.makespan_seconds = max(result.makespan_seconds, now)
-        result.request_latency.observe(now - request.arrival_seconds)
-        obs_timeline.emit("complete", now, request_id=rid,
-                          reason="served", tokens=outcome.tokens,
-                          latency_seconds=now - request.arrival_seconds,
-                          joules=outcome.joules,
-                          device=dispatch.device_id,
-                          tenant=request.tenant)
+        attrs = dict(request_id=rid, reason="served", tokens=outcome.tokens,
+                     latency_seconds=now - request.arrival_seconds,
+                     joules=outcome.joules, device=dispatch.device_id,
+                     tenant=request.tenant)
+        # an engine device's scheduler faults ride along only when
+        # nonzero, so analytic devices' events carry no extra attrs
+        if outcome.n_faults:
+            attrs["n_faults"] = outcome.n_faults
+        if outcome.n_retries:
+            attrs["n_retries"] = outcome.n_retries
+        self._record("complete", now, **attrs)
         breaker = self.health[device.device_id].breaker
         if breaker.record_success():  # half-open probe succeeded
-            obs_timeline.emit("breaker_close", now,
-                              device=device.device_id)
+            self._record("breaker_close", now, device=device.device_id)
         self._try_rejoin(device, now)
         for loser in losers:
             self._try_rejoin(self._by_id[loser.device_id], now)
@@ -426,12 +473,10 @@ class FleetSimulation:
         now = self.loop.now
         device = self._by_id[event.device]
         health = self.health[event.device]
-        self.result.n_fleet_faults += 1
         if event.kind == "device_crash":
-            health.crash()
-            self.result.n_crashes += 1
-            obs_timeline.emit("device_down", now, device=event.device,
-                              reboot_seconds=event.duration_seconds)
+            health.online = False
+            self._record("device_down", now, device=event.device,
+                         reboot_seconds=event.duration_seconds)
             self._fail_inflight_on(device, now, reason="crash")
             if event.duration_seconds is not None:
                 self.loop.after(event.duration_seconds, self._reboot,
@@ -439,24 +484,19 @@ class FleetSimulation:
         elif event.kind == "straggle":
             health.start_straggle(now, event.factor,
                                   event.duration_seconds)
-            self.result.n_straggles += 1
-            obs_timeline.emit("fault", now, fault_kind="straggle",
-                              device=event.device, factor=event.factor,
-                              duration_seconds=event.duration_seconds)
+            self._record("fault", now, fault_kind="straggle",
+                         device=event.device, factor=event.factor,
+                         duration_seconds=event.duration_seconds)
         elif event.kind == "dispatch_drop":
-            obs_timeline.emit("fault", now, fault_kind="dispatch_drop",
-                              device=event.device)
-            dropped = self._fail_inflight_on(device, now, reason="drop")
-            if dropped:
-                self.result.n_drops += dropped
-                health.n_drops += dropped
+            self._record("fault", now, fault_kind="dispatch_drop",
+                         device=event.device)
+            if self._fail_inflight_on(device, now, reason="drop"):
                 self._try_rejoin(device, now)
                 self._dispatch()
         elif event.kind == "battery_drain":
             device.battery.deplete()
-            self.result.n_battery_faults += 1
-            obs_timeline.emit("fault", now, fault_kind="battery_drain",
-                              device=event.device)
+            self._record("fault", now, fault_kind="battery_drain",
+                         device=event.device)
         else:  # pragma: no cover — grammar validation forbids this
             raise FleetError(f"unhandled fleet fault kind {event.kind!r}")
 
@@ -476,31 +516,32 @@ class FleetSimulation:
                        if leg.device_id == device.device_id
                        and leg.handle.pending]
             for victim in victims:
-                self.loop.cancel(victim.handle)
+                self._cancel_leg(victim, now)
                 legs.remove(victim)
-                unused = (victim.start_seconds
-                          + victim.outcome.service_seconds - now)
-                device.release(now, unused_seconds=unused)
-                self.result.joules += victim.outcome.joules
                 lost += 1
                 self._record_device_failure(device, now)
                 if legs:
                     # the sibling hedge leg races on — no failover
-                    self.result.n_hedge_cancelled += 1
-                    obs_timeline.emit("hedge", now, request_id=rid,
-                                      loser=device.device_id,
-                                      cancelled=True, reason=reason)
+                    self._record("hedge", now, request_id=rid,
+                                 loser=device.device_id, cancelled=True,
+                                 reason=reason)
                 else:
                     del self._inflight[rid]
                     self._failover(victim.request, device, now, reason)
         return lost
+
+    def _cancel_leg(self, leg: _Dispatch, now: float) -> None:
+        """Cancel a live leg; its device refunds the unfired busy tail."""
+        self.loop.cancel(leg.handle)
+        unused = leg.start_seconds + leg.outcome.service_seconds - now
+        self._by_id[leg.device_id].release(now, unused_seconds=unused)
 
     def _record_device_failure(self, device: FleetDevice,
                                now: float) -> None:
         breaker = self.health[device.device_id].breaker
         cooldown = breaker.record_failure()
         if cooldown is not None:
-            obs_timeline.emit(
+            self._record(
                 "breaker_open", now, device=device.device_id,
                 cooldown_seconds=cooldown,
                 consecutive_failures=breaker.consecutive_failures)
@@ -515,10 +556,9 @@ class FleetSimulation:
         health = self.health[device.device_id]
         if health.online:
             return  # a later crash/reboot pair already brought it back
-        health.reboot()
+        health.online = True
         now = self.loop.now
-        self.result.n_reboots += 1
-        obs_timeline.emit("device_up", now, device=device.device_id)
+        self._record("device_up", now, device=device.device_id)
         self._try_rejoin(device, now)
         self._dispatch()
 
@@ -531,19 +571,16 @@ class FleetSimulation:
         attempt = self._attempts.get(rid, 0)
         policy = self.health.failover
         if attempt >= policy.max_attempts:
-            self.result.n_failed += 1
-            obs_timeline.emit("failover", now, request_id=rid,
-                              from_device=from_device.device_id,
-                              reason=reason, attempt=attempt,
-                              outcome="exhausted")
+            self._record("failover", now, request_id=rid,
+                         from_device=from_device.device_id,
+                         reason=reason, attempt=attempt,
+                         outcome="exhausted")
             return
         self._attempts[rid] = attempt + 1
         delay = policy.backoff(rid, attempt)
-        self.result.n_failovers += 1
-        obs_timeline.emit("failover", now, request_id=rid,
-                          from_device=from_device.device_id,
-                          reason=reason, attempt=attempt,
-                          outcome="retry", backoff_seconds=delay)
+        self._record("failover", now, request_id=rid,
+                     from_device=from_device.device_id, reason=reason,
+                     attempt=attempt, outcome="retry", backoff_seconds=delay)
         self.loop.after(delay, self._reoffer, request)
 
     def _reoffer(self, request: FleetRequest) -> None:
@@ -555,8 +592,8 @@ class FleetSimulation:
         other late arrival.  Re-offers do not recount as arrivals.
         """
         now = self.loop.now
-        obs_timeline.emit("queue", now, request_id=request.request_id,
-                          tenant=request.tenant, reoffer=True)
+        self._record("queue", now, request_id=request.request_id,
+                     tenant=request.tenant, reoffer=True)
         admitted, shed = self.admission.offer(request)
         if not admitted:
             self._shed(request, now)

@@ -59,6 +59,7 @@ in :mod:`repro.fleet.health`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -178,21 +179,22 @@ class FaultEvent:
                 raise FaultError(
                     f"fleet fault {self.kind!r} needs a device id >= 0, "
                     f"got {self.device}")
-            if self.time_seconds < 0.0:
+            if not 0.0 <= self.time_seconds < math.inf:  # NaN fails too
                 raise FaultError(
-                    f"fleet fault time must be >= 0 seconds, got "
-                    f"{self.time_seconds}")
+                    f"fleet fault time must be finite and >= 0 seconds, "
+                    f"got {self.time_seconds}")
             if self.kind == "straggle":
-                if self.factor <= 1.0:
+                if not 1.0 < self.factor < math.inf:
                     raise FaultError(
-                        f"straggle factor must exceed 1, got {self.factor}")
+                        f"straggle factor must be finite and exceed 1, "
+                        f"got {self.factor}")
                 if self.duration_seconds is None:
                     raise FaultError("straggle needs a duration in seconds")
             if (self.duration_seconds is not None
-                    and self.duration_seconds <= 0.0):
+                    and not 0.0 < self.duration_seconds < math.inf):
                 raise FaultError(
-                    f"fleet fault duration must be positive, got "
-                    f"{self.duration_seconds}")
+                    f"fleet fault duration must be positive and finite, "
+                    f"got {self.duration_seconds}")
             if (self.kind in ("dispatch_drop", "battery_drain")
                     and self.duration_seconds is not None):
                 raise FaultError(

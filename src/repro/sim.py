@@ -136,6 +136,8 @@ class EventLoop:
     def at(self, time: float, callback: Callable[..., Any],
            *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute sim-time ``time``."""
+        if time != time:  # NaN passes the ordering check below
+            raise FleetError("cannot schedule an event at t=nan")
         if time < self.now:
             raise FleetError(
                 f"cannot schedule an event at t={time:.6g}s, "

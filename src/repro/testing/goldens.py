@@ -444,8 +444,9 @@ def fleet_ledger_counters(result) -> Dict[str, int]:
     """Every integer tally of a FleetResult, by field name."""
     from dataclasses import fields
 
-    return {f.name: getattr(result, f.name) for f in fields(result)
-            if f.type == "int"}
+    values = {f.name: getattr(result, f.name) for f in fields(result)}
+    return {name: value for name, value in values.items()
+            if isinstance(value, int)}
 
 
 def fleet_ledger(result) -> Dict:

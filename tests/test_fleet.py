@@ -111,6 +111,18 @@ class TestLoadGeneration:
                                        pattern="diurnal",
                                        diurnal_amplitude=1.5))
 
+    # a NaN qps or horizon passed the old "<= 0" checks and the trace
+    # generator never reached its horizon: validate() must reject them
+    @pytest.mark.parametrize("qps", [float("nan"), float("inf")])
+    def test_non_finite_qps_rejected(self, qps):
+        with pytest.raises(FleetError, match="qps"):
+            TraceConfig(qps=qps, horizon_seconds=5.0).validate()
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(FleetError, match="horizon_seconds"):
+            TraceConfig(qps=4.0, horizon_seconds=horizon).validate()
+
     def test_diurnal_rate_swings(self):
         """Arrivals cluster in high-rate half-periods."""
         config = TraceConfig(qps=20.0, horizon_seconds=240.0, seed=0,
@@ -167,6 +179,11 @@ class TestBatteryRail:
             BatteryRail(capacity_joules=0.0)
         with pytest.raises(ValueError):
             BatteryRail(capacity_joules=1.0).draw(-1.0)
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+    def test_non_finite_capacity_rejected(self, capacity):
+        with pytest.raises(FleetError, match="battery capacity"):
+            BatteryRail(capacity_joules=capacity)
 
 
 class TestFleetSimulation:

@@ -130,6 +130,17 @@ def test_past_scheduling_rejected():
     loop.at(5.0, lambda: None)
 
 
+def test_nan_scheduling_rejected():
+    # NaN is neither before nor after now, so it must be named: on the
+    # heap it would corrupt the (time, seq) order
+    loop = EventLoop()
+    with pytest.raises(FleetError, match="nan"):
+        loop.at(float("nan"), lambda: None)
+    with pytest.raises(FleetError, match="nan"):
+        loop.after(float("nan"), lambda: None)
+    assert len(loop) == 0
+
+
 def test_run_until_leaves_future_events_pending():
     loop = EventLoop()
     fired = []

@@ -158,13 +158,6 @@ class TestBenchCLIGate:
         validate_snapshot(payload)
 
 
-def _sim_metrics(snapshot):
-    return {name: {k: v for k, v in record.metrics.items()
-                   if k != "wall_seconds"}
-            for name, record in snapshot.records.items()}
-
-
 class TestDeterminism:
     def test_suite_is_bitwise_deterministic(self, suite_snapshot):
-        again = run_suite()
-        assert _sim_metrics(again) == _sim_metrics(suite_snapshot)
+        assert run_suite().to_json() == suite_snapshot.to_json()

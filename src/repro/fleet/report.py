@@ -18,6 +18,7 @@ serves everything, and holds the target.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -244,9 +245,9 @@ def plan_capacity(qps: float, p99_target_seconds: float, seed: int,
     deterministic function of the inputs.  Returns ``None`` when even
     ``max_devices`` cannot hold the target.
     """
-    if p99_target_seconds <= 0:
-        raise FleetError(
-            f"p99 target must be positive, got {p99_target_seconds}")
+    if not 0 < p99_target_seconds < math.inf:
+        raise FleetError(f"p99 target must be positive and finite, got "
+                         f"{p99_target_seconds}")
     trace = _trace_config(qps, probe_horizon_seconds, None, seed, pattern)
 
     def holds(n_devices: int) -> bool:
@@ -304,6 +305,9 @@ def run_fleet(n_devices: int, qps: float,
         raise FleetError(
             f"unknown arrival pattern {pattern!r}; known: "
             f"{ARRIVAL_PATTERNS}")
+    if not 0 < p99_target_ms < math.inf:
+        raise FleetError(f"p99 target must be positive and finite, got "
+                         f"{p99_target_ms} ms")
     fault_plan = FaultPlan.parse(fault_spec) if fault_spec else None
     trace = _trace_config(qps, horizon_seconds, max_requests, seed, pattern)
     log: Optional[EventLog] = None

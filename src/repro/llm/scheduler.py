@@ -26,6 +26,7 @@ versus sequential lock-step waves without running the engine.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -294,6 +295,10 @@ class ContinuousBatchingScheduler:
         if max_new_tokens <= 0:
             raise EngineError(
                 f"max_new_tokens must be positive, got {max_new_tokens}")
+        if deadline_seconds is not None \
+                and not 0 < deadline_seconds < math.inf:
+            raise EngineError(f"deadline_seconds must be positive and "
+                              f"finite, got {deadline_seconds}")
         prompt = list(prompt)
         if len(prompt) + max_new_tokens > engine.max_context:
             raise EngineError(

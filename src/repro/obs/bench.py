@@ -18,14 +18,15 @@ loop on top of :mod:`repro.obs`:
   readable;
 * a **comparator** that diffs two snapshots with noise-aware,
   direction-aware per-metric thresholds (throughput dropping is bad,
-  latency rising is bad, wall clock is informational) and renders a
+  latency rising is bad, counts are informational) and renders a
   text/markdown regression report the ``repro bench --check`` CLI exits
   2 on.
 
-Every metric derived from the *simulated* timeline (``sim_seconds``,
-``tokens_per_second``, utilizations, KV bytes, SLO percentiles) is a
-deterministic function of the seeds, so snapshots diff bitwise across
-machines; host wall clock is recorded but never gated.
+Every metric is derived from the *simulated* timeline (``sim_seconds``,
+``tokens_per_second``, utilizations, KV bytes, SLO percentiles), a
+deterministic function of the seeds, so two snapshots of the same tree
+are byte-identical.  The bench never reads the host clock: host time
+per run and per layer is ``perfbench/run.py --trace 1``'s question.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import os
 import platform
 import subprocess
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -44,6 +44,7 @@ from . import metrics as obs_metrics
 from . import trace as obs_trace
 from .export import chrome_trace, engine_utilization
 from .slo import slo_summary
+from .timeline import EventLog, get_event_log, set_event_log
 
 __all__ = [
     "BenchError",
@@ -55,8 +56,6 @@ __all__ = [
     "bench_scenario",
     "run_scenario",
     "run_suite",
-    "render_profile_table",
-    "PROFILE_TOP_N",
     "next_snapshot_path",
     "validate_snapshot",
     "Threshold",
@@ -202,9 +201,9 @@ def _bench_decode(ctx: BenchContext) -> BenchRecord:
 def _bench_prefill(ctx: BenchContext) -> BenchRecord:
     engine = _tiny_engine(ctx, batch=1, max_context=80)
     prompt = [(i % 500) + 1 for i in range(64)]
-    wall = time.perf_counter()
     _, cost = engine.prefill(prompt)
-    sim = engine._step_seconds(cost, time.perf_counter() - wall)
+    # with a device set the step time ignores its host-clock argument
+    sim = engine._step_seconds(cost, 0.0)
     return BenchRecord("prefill", metrics={
         "sim_seconds": sim,
         "tokens_per_second": len(prompt) / sim,
@@ -457,59 +456,15 @@ def _bench_fleet_chaos(ctx: BenchContext) -> BenchRecord:
 # ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
-#: Rows kept per scenario in a ``--self-profile`` table.
-PROFILE_TOP_N = 25
-
-
-def _profile_rows(profiler: Any, top_n: int = PROFILE_TOP_N
-                  ) -> List[Dict[str, Any]]:
-    """Top-``top_n`` cumulative-time rows from a cProfile run.
-
-    Host wall clock, so the rows are informational (never gated, never
-    fingerprinted) — they answer ROADMAP's "where does the *simulator*
-    spend its host time" question, not a paper claim.
-    """
-    import pstats
-
-    stats = pstats.Stats(profiler)
-    rows: List[Dict[str, Any]] = []
-    for func, (cc, nc, tottime, cumtime, _callers) in stats.stats.items():
-        filename, lineno, name = func
-        where = name if filename == "~" \
-            else f"{os.path.basename(filename)}:{lineno}:{name}"
-        rows.append({"function": where, "ncalls": int(nc),
-                     "tottime": float(tottime), "cumtime": float(cumtime)})
-    rows.sort(key=lambda r: (-r["cumtime"], r["function"]))
-    return rows[:max(top_n, 0)]
-
-
-def render_profile_table(profiles: Dict[str, List[Dict[str, Any]]]) -> str:
-    """Per-scenario top-N cumulative-time tables as one text artifact."""
-    lines: List[str] = []
-    for name in sorted(profiles):
-        lines.append(f"== self-profile: {name} "
-                     f"(top {len(profiles[name])} by cumulative time) ==")
-        lines.append(f"{'function':<56s} {'ncalls':>8s} {'tottime s':>10s} "
-                     f"{'cumtime s':>10s}")
-        for row in profiles[name]:
-            lines.append(f"{row['function']:<56.56s} {row['ncalls']:>8d} "
-                         f"{row['tottime']:>10.4f} {row['cumtime']:>10.4f}")
-        lines.append("")
-    return "\n".join(lines) + ("\n" if lines and lines[-1] else "")
-
-
-def run_scenario(name: str, device_key: str = DEFAULT_DEVICE,
-                 seed: int = DEFAULT_SEED,
-                 self_profile: bool = False) -> BenchRecord:
+def _replay(name: str, device_key: str, seed: int,
+            log: Optional[EventLog] = None
+            ) -> Tuple[BenchRecord, BenchContext]:
     """Run one registered scenario under fresh tracer/metrics state.
 
-    The record is augmented with the scenario's wall clock
-    (informational) and, when the traced run carries kernel costs, the
-    per-engine HMX/HVX/DMA/CPU busy fractions of the simulated timeline.
-    With ``self_profile`` the scenario body runs under :mod:`cProfile`
-    and the top cumulative-time rows are attached as a non-serialized
-    ``profile`` attribute on the record (host-side data stays out of
-    the snapshot so fingerprints and byte-diffs are unaffected).
+    ``log`` is installed as the global event log for the run (default:
+    whichever log is already installed).  Every value the scenario
+    records is a pure function of (scenario, device, seed); the prior
+    tracer, metrics registry and event log are restored afterwards.
     """
     scenario = SCENARIOS.get(name)
     if scenario is None:
@@ -527,22 +482,25 @@ def run_scenario(name: str, device_key: str = DEFAULT_DEVICE,
                        registry=obs_metrics.MetricsRegistry(), seed=seed)
     prev_tracer = obs_trace.set_tracer(ctx.tracer)
     prev_metrics = obs_metrics.set_metrics(ctx.registry)
-    profiler = None
-    if self_profile:
-        import cProfile
-        profiler = cProfile.Profile()
-    wall = time.perf_counter()
+    prev_log = set_event_log(get_event_log() if log is None else log)
     try:
-        if profiler is not None:
-            record = profiler.runcall(scenario.fn, ctx)
-        else:
-            record = scenario.fn(ctx)
+        record = scenario.fn(ctx)
     finally:
         obs_trace.set_tracer(prev_tracer)
         obs_metrics.set_metrics(prev_metrics)
-    record.metrics["wall_seconds"] = time.perf_counter() - wall
-    record.profile = _profile_rows(profiler) if profiler is not None \
-        else None
+        set_event_log(prev_log)
+    return record, ctx
+
+
+def run_scenario(name: str, device_key: str = DEFAULT_DEVICE,
+                 seed: int = DEFAULT_SEED) -> BenchRecord:
+    """Run one registered scenario and return its record.
+
+    When the traced run carries kernel costs, the record is augmented
+    with the per-engine HMX/HVX/DMA/CPU busy fractions of the simulated
+    timeline (``util_*``).
+    """
+    record, ctx = _replay(name, device_key, seed)
     try:
         util = engine_utilization(chrome_trace(ctx.tracer,
                                                timing=ctx.timing))
@@ -644,15 +602,8 @@ def validate_snapshot(data: Any) -> None:
 def run_suite(only: Optional[Sequence[str]] = None,
               device_key: str = DEFAULT_DEVICE,
               seed: int = DEFAULT_SEED,
-              fast_only: bool = False,
-              self_profile: bool = False) -> BenchSnapshot:
-    """Run the registered scenarios and return a fingerprinted snapshot.
-
-    With ``self_profile`` each scenario runs under :mod:`cProfile` and
-    the snapshot carries a non-serialized ``profiles`` attribute
-    (scenario name -> top cumulative rows) for the CLI's profile
-    artifact; ``to_json`` and the fingerprint are unchanged.
-    """
+              fast_only: bool = False) -> BenchSnapshot:
+    """Run the registered scenarios and return a fingerprinted snapshot."""
     names = list(only) if only else sorted(SCENARIOS)
     if fast_only:
         names = [n for n in names
@@ -661,16 +612,10 @@ def run_suite(only: Optional[Sequence[str]] = None,
     if unknown:
         raise BenchError(
             f"unknown bench scenario(s) {unknown}; known: {sorted(SCENARIOS)}")
-    records = {name: run_scenario(name, device_key=device_key, seed=seed,
-                                  self_profile=self_profile)
+    records = {name: run_scenario(name, device_key=device_key, seed=seed)
                for name in names}
-    snapshot = BenchSnapshot(fingerprint=environment_fingerprint(seed),
-                             records=records)
-    snapshot.profiles = {name: record.profile
-                         for name, record in records.items()
-                         if getattr(record, "profile", None)} \
-        if self_profile else None
-    return snapshot
+    return BenchSnapshot(fingerprint=environment_fingerprint(seed),
+                         records=records)
 
 
 def next_snapshot_path(directory: str) -> str:

@@ -18,7 +18,8 @@ Everything in the report derives from the **simulated** clock, so the
 across runs and machines for a fixed (scenario, device, seed) — the CI
 monitor-smoke job asserts exactly that, and asserts that the chaos
 scenario's planned throttle/fault windows are flagged while the
-fault-free greedy scenario flags nothing.
+fault-free greedy scenario flags nothing.  The simulator's own host
+time is measured by ``perfbench/run.py --trace 1``, not here.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ObservabilityError
-from . import metrics as obs_metrics
-from . import trace as obs_trace
 from .anomaly import AnomalyEvent, default_detectors, detect_series
-from .bench import DEFAULT_DEVICE, DEFAULT_SEED, SCENARIOS, BenchError
+from .bench import DEFAULT_DEVICE, DEFAULT_SEED, _replay
 from .stream import MetricStream, stream_from_log
-from .timeline import EventLog, set_event_log
+from .timeline import EventLog
 
 __all__ = ["MONITOR_SCHEMA", "MonitorReport", "run_monitor",
            "WATCHED_SERIES"]
@@ -259,44 +258,19 @@ def run_monitor(scenario: str = "chaos.waves",
                 window_seconds: Optional[float] = None) -> MonitorReport:
     """Replay ``scenario`` with the event log armed; build the report.
 
-    The scenario function runs directly (not through
-    :func:`~repro.obs.bench.run_scenario`) so nothing wall-clock-shaped
-    enters the report; with a simulated device every value is a pure
+    The replay is :func:`~repro.obs.bench.run_scenario`'s, with the
+    event log installed; with a simulated device every value is a pure
     function of (scenario, device, seed).  ``window_seconds`` defaults
     to the recorded span divided into ``n_windows`` equal windows.
     """
-    registered = SCENARIOS.get(scenario)
-    if registered is None:
-        raise BenchError(
-            f"unknown bench scenario {scenario!r}; known: "
-            f"{sorted(SCENARIOS)}")
     if n_windows <= 0:
         raise ObservabilityError(
             f"n_windows must be positive, got {n_windows}")
     if window_seconds is not None and window_seconds <= 0.0:
         raise ObservabilityError(
             f"window_seconds must be positive, got {window_seconds}")
-    from ..npu import DEVICES
-    from ..npu.timing import TimingModel
-    from .bench import BenchContext
-
-    if device_key not in DEVICES:
-        raise BenchError(
-            f"unknown device {device_key!r}; known: {sorted(DEVICES)}")
-    device = DEVICES[device_key]
-    ctx = BenchContext(device=device, timing=TimingModel(device.npu),
-                       tracer=obs_trace.Tracer(enabled=True),
-                       registry=obs_metrics.MetricsRegistry(), seed=seed)
     log = EventLog(enabled=True)
-    prev_tracer = obs_trace.set_tracer(ctx.tracer)
-    prev_metrics = obs_metrics.set_metrics(ctx.registry)
-    prev_log = set_event_log(log)
-    try:
-        record = registered.fn(ctx)
-    finally:
-        obs_trace.set_tracer(prev_tracer)
-        obs_metrics.set_metrics(prev_metrics)
-        set_event_log(prev_log)
+    record, ctx = _replay(scenario, device_key, seed, log=log)
 
     start, end = log.span()
     span = max(end - start, 0.0)

@@ -380,6 +380,15 @@ class TestRunFleet:
         with pytest.raises(FleetError):
             run_fleet(4, 1.0, horizon_seconds=5.0, pattern="weekly")
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0,
+                                        -1.0])
+    def test_p99_target_must_be_positive_and_finite(self, target):
+        with pytest.raises(FleetError, match="p99 target"):
+            plan_capacity(8.0, target, seed=0, max_devices=1)
+        with pytest.raises(FleetError, match="p99 target"):
+            run_fleet(2, 1.0, horizon_seconds=2.0, p99_target_ms=target,
+                      with_capacity_plan=False)
+
 
 class TestFleetCLI:
     def test_cli_json_replay_byte_identical(self, tmp_path, capsys):
@@ -393,6 +402,14 @@ class TestFleetCLI:
                          "--json", str(path)])
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_cli_rejects_nan_p99_target(self, capsys):
+        from repro.cli import main
+
+        assert main(["fleet", "--devices", "2", "--qps", "1",
+                     "--horizon-seconds", "2", "--p99-target-ms", "nan",
+                     "--no-capacity-plan"]) == 2
+        assert "p99 target" in capsys.readouterr().out
 
     def test_cli_renders_capacity(self, capsys):
         from repro.cli import main

@@ -310,6 +310,16 @@ class TestCLI:
         assert data["workload"] == "scheduler"
         assert "SLO token-latency percentiles" in text
 
+    @pytest.mark.parametrize("deadline_ms", ["nan", "-5"])
+    def test_profile_rejects_bad_deadline(self, tmp_path, deadline_ms):
+        status, text = self._run([
+            "profile", "--scheduler", "--batch", "2", "--candidates", "4",
+            "--prompt-tokens", "3", "--new-tokens", "3",
+            "--deadline-ms", deadline_ms,
+            "--trace-out", str(tmp_path / "t.json")])
+        assert status == 2
+        assert "error:" in text and "deadline_seconds" in text
+
     def test_profile_placement_prints_crossover_table(self, tmp_path):
         json_path = tmp_path / "profile.json"
         status, text = self._run([

@@ -316,6 +316,15 @@ class TestSchedulerChaos:
         assert any(c.finish_reason == "deadline" for c in result.candidates)
         assert all(c.tokens for c in result.candidates)
 
+    @pytest.mark.parametrize("deadline", [float("nan"), -0.005, 0.0,
+                                          float("inf")])
+    def test_deadline_must_be_positive_and_finite(self, tiny_model,
+                                                  deadline):
+        _, sched = make_scheduler(tiny_model, device=DEVICE)
+        with pytest.raises(EngineError, match="deadline_seconds"):
+            sched.generate([1, 2, 3, 4], n_candidates=4, max_new_tokens=4,
+                           deadline_seconds=deadline)
+
     def test_retry_exhaustion_degrades_not_raises(self, tiny_model):
         # five consecutive aborts at one step exceed max_retries=3
         plan = FaultPlan([FaultEvent("session_abort", at=1)

@@ -104,6 +104,17 @@ def _prefill_seconds(device: Device, governor_name: str,
 
 
 @lru_cache(maxsize=None)
+def _continuous_steps(max_new_tokens: int, n_candidates: int,
+                      batch: int) -> int:
+    """Decode steps of ``n_candidates`` equal-length candidates waved
+    over ``batch`` slots with continuous backfill."""
+    from ..llm.scheduler import plan_waves
+
+    return plan_waves([max_new_tokens] * n_candidates,
+                      batch).continuous_steps
+
+
+@lru_cache(maxsize=None)
 def _power_watts(device: Device, governor_name: str,
                  model_name: str, batch: int, context: int) -> float:
     """Whole-SoC watts while decoding, with DVFS-scaled dynamic power."""
@@ -291,16 +302,14 @@ class AnalyticFleetDevice(FleetDevice):
                                             get_model_config(model_name))
 
     def _service(self, request: FleetRequest) -> ServiceOutcome:
-        from ..llm.scheduler import plan_waves
-
         governor = self.thermal.governor
         batch = min(request.n_candidates, SERVICE_BATCH)
         prompt = _quantize(request.prompt_tokens, _PROMPT_QUANT)
         # mid-generation context: prompt plus half the decode budget
         context = _quantize(
             request.prompt_tokens + request.max_new_tokens // 2, _CTX_QUANT)
-        steps = plan_waves([request.max_new_tokens] * request.n_candidates,
-                           batch).continuous_steps
+        steps = _continuous_steps(request.max_new_tokens,
+                                  request.n_candidates, batch)
         step_seconds = _decode_step_seconds(
             self.device, governor.name, self.model_name, batch, context)
         prefill = _prefill_seconds(

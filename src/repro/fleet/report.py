@@ -29,7 +29,7 @@ from ..resilience.faults import FaultPlan
 from .devices import build_population
 from .health import FailoverPolicy, HedgePolicy
 from .load import ARRIVAL_PATTERNS, TraceConfig, generate_trace
-from .requests import AdmissionController
+from .requests import AdmissionController, FleetRequest
 from .simulation import FleetResult, FleetSimulation
 
 __all__ = ["FLEET_SCHEMA", "FleetReport", "run_fleet", "plan_capacity",
@@ -203,20 +203,11 @@ class FleetReport:
 # ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
-def _trace_config(qps: float, horizon_seconds: Optional[float],
-                  max_requests: Optional[int], seed: int,
-                  pattern: str) -> TraceConfig:
-    return TraceConfig(qps=qps, horizon_seconds=horizon_seconds,
-                       max_requests=max_requests, seed=seed,
-                       pattern=pattern)
-
-
-def _simulate(n_devices: int, trace: TraceConfig,
+def _simulate(n_devices: int, requests: List[FleetRequest], seed: int,
               queue_depth: int, model_name: str,
               battery_capacity_joules: float,
               fault_plan: Optional[FaultPlan] = None,
               hedge: bool = False) -> FleetResult:
-    requests = generate_trace(trace)
     population = build_population(
         n_devices, model_name=model_name,
         battery_capacity_joules=battery_capacity_joules)
@@ -224,9 +215,9 @@ def _simulate(n_devices: int, trace: TraceConfig,
         population, requests,
         admission=AdmissionController(max_queue_depth=queue_depth),
         fault_plan=fault_plan,
-        failover=FailoverPolicy(seed=trace.seed),
+        failover=FailoverPolicy(seed=seed),
         hedge=HedgePolicy() if hedge else None,
-        seed=trace.seed)
+        seed=seed)
     return simulation.run()
 
 
@@ -248,11 +239,15 @@ def plan_capacity(qps: float, p99_target_seconds: float, seed: int,
     if not 0 < p99_target_seconds < math.inf:
         raise FleetError(f"p99 target must be positive and finite, got "
                          f"{p99_target_seconds}")
-    trace = _trace_config(qps, probe_horizon_seconds, None, seed, pattern)
+    # every probe serves the same trace; requests are frozen and each
+    # simulation sorts them into its own list, so one copy is shared
+    requests = generate_trace(TraceConfig(
+        qps=qps, horizon_seconds=probe_horizon_seconds, seed=seed,
+        pattern=pattern))
 
     def holds(n_devices: int) -> bool:
-        result = _simulate(n_devices, trace, queue_depth, model_name,
-                           battery_capacity_joules)
+        result = _simulate(n_devices, requests, seed, queue_depth,
+                           model_name, battery_capacity_joules)
         if result.n_shed or result.n_unserved:
             return False
         if result.n_completed == 0:
@@ -309,21 +304,23 @@ def run_fleet(n_devices: int, qps: float,
         raise FleetError(f"p99 target must be positive and finite, got "
                          f"{p99_target_ms} ms")
     fault_plan = FaultPlan.parse(fault_spec) if fault_spec else None
-    trace = _trace_config(qps, horizon_seconds, max_requests, seed, pattern)
+    requests = generate_trace(TraceConfig(
+        qps=qps, horizon_seconds=horizon_seconds, max_requests=max_requests,
+        seed=seed, pattern=pattern))
     log: Optional[EventLog] = None
     if explain:
         log = EventLog(enabled=True)
         previous_log = set_event_log(log)
         try:
-            result = _simulate(n_devices, trace, queue_depth, model_name,
-                               battery_capacity_joules,
+            result = _simulate(n_devices, requests, seed, queue_depth,
+                               model_name, battery_capacity_joules,
                                fault_plan=fault_plan, hedge=hedge)
         finally:
             set_event_log(previous_log)
     else:
-        result = _simulate(n_devices, trace, queue_depth, model_name,
-                           battery_capacity_joules, fault_plan=fault_plan,
-                           hedge=hedge)
+        result = _simulate(n_devices, requests, seed, queue_depth,
+                           model_name, battery_capacity_joules,
+                           fault_plan=fault_plan, hedge=hedge)
 
     by_generation: Dict[str, int] = {}
     for device in result.devices:

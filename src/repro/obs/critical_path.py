@@ -40,6 +40,7 @@ unclosed dispatch legs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -273,9 +274,13 @@ def explain_scheduler_log(log: EventLog) -> List[RequestExplanation]:
             _charge(energy_nj.setdefault(cid, {}),
                     _classify_scheduler_segment(event), quantize_nj(joules))
 
+    # segments ascend in both start and end, so a candidate's window is
+    # a contiguous run of them: the first ending after its queue event,
+    # up to the first starting at or after its completion
+    seg_ends = [seg_end for _, seg_end, _ in segments]
+
     out: List[RequestExplanation] = []
-    for cid in log.request_ids():
-        chain = log.timeline(cid)
+    for cid, chain in log.chains().items():
         queue = next((e for e in chain if e.kind == "queue"), None)
         admit = next((e for e in chain if e.kind == "admit"), None)
         complete = next((e for e in chain if e.kind == "complete"), None)
@@ -296,9 +301,10 @@ def explain_scheduler_log(log: EventLog) -> List[RequestExplanation]:
             expl.end_ns = end_ns
             expl.tokens = int(complete.attrs.get("tokens", 0))
             expl.joules = float(complete.attrs.get("joules", 0.0))
-            for seg_start, seg_end, terminator in segments:
-                if seg_end <= start_ns or seg_start >= end_ns:
-                    continue
+            for i in range(bisect_right(seg_ends, start_ns), len(segments)):
+                seg_start, seg_end, terminator = segments[i]
+                if seg_start >= end_ns:
+                    break
                 phase = ("queue_wait" if seg_end <= admit_ns
                          else _classify_scheduler_segment(terminator))
                 _charge(expl.blame_ns, phase, seg_end - seg_start)
@@ -334,8 +340,8 @@ def explain_fleet_log(log: EventLog) -> List[RequestExplanation]:
     ``service_lost``, losing hedge legs ``hedge_wasted``.
     """
     out: List[RequestExplanation] = []
-    for rid in log.request_ids():
-        chain = [e for e in log.timeline(rid) if e.kind in _FLEET_KINDS]
+    for rid, chain in log.chains().items():
+        chain = [e for e in chain if e.kind in _FLEET_KINDS]
         if not chain or chain[0].kind != "queue":
             continue
         start_ns = quantize_ns(chain[0].sim_time)
@@ -432,20 +438,24 @@ def validate_lifecycle(log: EventLog) -> List[str]:
     matching ``wave_start``.
     """
     problems: List[str] = []
-    events = log.events()
+    wave_starts = set()
+    wave_ends: List[TimelineEvent] = []
     prev = None
-    for event in events:
+    for event in log.events():
         if prev is not None and event.sim_time < prev.sim_time:
             problems.append(
                 f"time regresses at seq {event.seq}: {event.kind} at "
                 f"{event.sim_time} after {prev.kind} at {prev.sim_time}")
+        if event.kind == "wave_start":
+            wave_starts.add(event.attrs.get("wave"))
+        elif event.kind == "wave_end":
+            wave_ends.append(event)
         prev = event
 
     kind = classify_log(log)
     if kind == "fleet":
-        for rid in log.request_ids():
-            chain = [e for e in log.timeline(rid)
-                     if e.kind in _FLEET_KINDS]
+        for rid, chain in log.chains().items():
+            chain = [e for e in chain if e.kind in _FLEET_KINDS]
             if not chain:
                 continue
             if chain[0].kind != "queue":
@@ -488,15 +498,12 @@ def validate_lifecycle(log: EventLog) -> List[str]:
                     f"request {rid}: {len(open_legs)} dispatch leg(s) "
                     f"never closed (devices {open_legs})")
     else:
-        wave_starts = {e.attrs.get("wave")
-                       for e in log.by_kind("wave_start")}
-        for e in log.by_kind("wave_end"):
+        for e in wave_ends:
             if e.attrs.get("wave") not in wave_starts:
                 problems.append(
                     f"wave_end for wave {e.attrs.get('wave')} at seq "
                     f"{e.seq} has no wave_start")
-        for cid in log.request_ids():
-            chain = log.timeline(cid)
+        for cid, chain in log.chains().items():
             kinds = [e.kind for e in chain]
             if kinds and kinds[0] != "queue":
                 problems.append(

@@ -25,6 +25,7 @@ time is measured by ``perfbench/run.py --trace 1``, not here.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -34,10 +35,15 @@ from .bench import DEFAULT_DEVICE, DEFAULT_SEED, _replay
 from .stream import MetricStream, stream_from_log
 from .timeline import EventLog
 
-__all__ = ["MONITOR_SCHEMA", "MonitorReport", "run_monitor",
-           "WATCHED_SERIES"]
+__all__ = ["MONITOR_SCHEMA", "MAX_MONITOR_WINDOWS", "MonitorReport",
+           "run_monitor", "WATCHED_SERIES"]
 
 MONITOR_SCHEMA = "repro.monitor/v1"
+
+#: Most windows one report folds.  The stream materializes every window
+#: from time zero to the last event, so a width far below the recorded
+#: span would otherwise allocate span/width windows.
+MAX_MONITOR_WINDOWS = 4096
 
 #: (metric, stat, detector names, require samples) series the anomaly
 #: detectors watch.  Latency catches throttle cliffs but is only
@@ -167,8 +173,7 @@ class MonitorReport:
 
 def _request_summaries(log: EventLog) -> List[Dict[str, Any]]:
     out: List[Dict[str, Any]] = []
-    for request_id in log.request_ids():
-        chain = log.timeline(request_id)
+    for request_id, chain in log.chains().items():
         admits = [e for e in chain if e.kind == "admit"]
         completes = [e for e in chain if e.kind == "complete"]
         last = completes[-1] if completes else chain[-1]
@@ -261,14 +266,17 @@ def run_monitor(scenario: str = "chaos.waves",
     The replay is :func:`~repro.obs.bench.run_scenario`'s, with the
     event log installed; with a simulated device every value is a pure
     function of (scenario, device, seed).  ``window_seconds`` defaults
-    to the recorded span divided into ``n_windows`` equal windows.
+    to the recorded span divided into ``n_windows`` equal windows.  A
+    width must be finite and give at most :data:`MAX_MONITOR_WINDOWS`
+    windows from time zero to the last event.
     """
     if n_windows <= 0:
         raise ObservabilityError(
             f"n_windows must be positive, got {n_windows}")
-    if window_seconds is not None and window_seconds <= 0.0:
+    if window_seconds is not None and not 0.0 < window_seconds < math.inf:
         raise ObservabilityError(
-            f"window_seconds must be positive, got {window_seconds}")
+            f"window_seconds must be positive and finite, got "
+            f"{window_seconds}")
     log = EventLog(enabled=True)
     record, ctx = _replay(scenario, device_key, seed, log=log)
 
@@ -279,6 +287,10 @@ def run_monitor(scenario: str = "chaos.waves",
                           else 1e-3)
         # nudge past the last event so it does not open window n_windows
         window_seconds *= 1.0 + 1e-9
+    if end / window_seconds >= MAX_MONITOR_WINDOWS:
+        raise ObservabilityError(
+            f"a {window_seconds:g} s window over a run ending at "
+            f"{end:g} s gives more than {MAX_MONITOR_WINDOWS} windows")
     stream = stream_from_log(log, window_seconds=window_seconds)
 
     anomalies: List[AnomalyEvent] = []

@@ -24,6 +24,7 @@ byte-identical streams.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ObservabilityError
@@ -117,9 +118,10 @@ class MetricStream:
     def __init__(self, window_seconds: float = DEFAULT_WINDOW_SECONDS,
                  start_time: float = 0.0,
                  sample_buckets: Optional[Sequence[float]] = None) -> None:
-        if not window_seconds > 0.0:
+        if not 0.0 < window_seconds < math.inf:
             raise ObservabilityError(
-                f"window_seconds must be positive, got {window_seconds}")
+                f"window_seconds must be positive and finite, got "
+                f"{window_seconds}")
         if start_time < 0.0:
             raise ObservabilityError(
                 f"start_time must be >= 0, got {start_time}")

@@ -162,6 +162,21 @@ class EventLog:
         """The causal chain of one request, in emission order."""
         return [e for e in self._events if e.request_id == request_id]
 
+    def chains(self) -> Dict[int, List[TimelineEvent]]:
+        """Every request's causal chain, grouped in one pass.
+
+        Keys ascend by request id and each chain equals
+        ``timeline(request_id)``; run-level events (``request_id`` of
+        ``None``) belong to no chain.  Folds that visit every request
+        iterate this instead of calling :meth:`timeline` per id, which
+        would rescan the whole log once per request.
+        """
+        grouped: Dict[int, List[TimelineEvent]] = {}
+        for event in self._events:
+            if event.request_id is not None:
+                grouped.setdefault(event.request_id, []).append(event)
+        return {rid: grouped[rid] for rid in sorted(grouped)}
+
     def by_kind(self, kind: str) -> List[TimelineEvent]:
         if kind not in _KIND_SET:
             raise ObservabilityError(

@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
-from repro.obs.monitor import MONITOR_SCHEMA, run_monitor
+from repro.errors import ObservabilityError
+from repro.obs.monitor import MAX_MONITOR_WINDOWS, MONITOR_SCHEMA, run_monitor
+from repro.obs.stream import MetricStream
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +86,25 @@ class TestRunMonitor:
             run_monitor("chaos.waves", n_windows=0)
         with pytest.raises(ReproError):
             run_monitor("chaos.waves", window_seconds=0.0)
+
+    def test_rejects_a_width_that_is_not_finite(self):
+        for width in (math.inf, math.nan):
+            with pytest.raises(ObservabilityError):
+                run_monitor("decode.greedy", window_seconds=width)
+            with pytest.raises(ObservabilityError):
+                MetricStream(window_seconds=width)
+
+    def test_window_count_is_capped(self):
+        _, end = run_monitor("decode.greedy").log.span()
+        report = run_monitor("decode.greedy",
+                             window_seconds=end / (MAX_MONITOR_WINDOWS - 8))
+        assert MAX_MONITOR_WINDOWS - 8 <= len(report.windows) \
+            <= MAX_MONITOR_WINDOWS
+        with pytest.raises(ObservabilityError):
+            run_monitor("decode.greedy",
+                        window_seconds=end / (MAX_MONITOR_WINDOWS + 8))
+        with pytest.raises(ObservabilityError):
+            run_monitor("decode.greedy", n_windows=MAX_MONITOR_WINDOWS + 1)
 
     def test_global_event_log_restored_after_run(self):
         from repro.obs.timeline import get_event_log, timeline_enabled
@@ -154,3 +181,39 @@ class TestMonitorCli:
         status, text = self._run("monitor", "--window-ms", "5")
         assert status == 0
         assert "window width" in text
+
+
+def _cap_address_space() -> None:
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _run_child(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` in a child bounded in time and memory.
+
+    A hang surfaces as ``subprocess.TimeoutExpired``; the 2 GiB
+    address-space cap turns runaway window allocation into a failed run
+    rather than a host out of memory.
+    """
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run([sys.executable, "-m", "repro", *argv], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_cap_address_space)
+
+
+class TestMonitorBoundaries:
+    def test_infinite_window_width_exits_2(self):
+        child = _run_child("monitor", "--scenario", "decode.greedy",
+                           "--window-ms", "inf")
+        assert child.returncode == 2, child.stdout + child.stderr
+        assert "error:" in child.stdout
+        assert "nan" not in child.stdout
+
+    def test_window_width_beyond_the_window_cap_exits_2(self):
+        child = _run_child("monitor", "--scenario", "decode.greedy",
+                           "--windows", "3", "--window-ms", "1e-300")
+        assert child.returncode == 2, child.stdout + child.stderr
+        assert "error:" in child.stdout

@@ -57,6 +57,20 @@ class TestEventLog:
         assert [e.kind for e in chain] == ["queue", "admit", "complete"]
         assert log.request_ids() == [0, 1]
 
+    def test_chains_group_every_request_in_one_pass(self):
+        log = EventLog()
+        log.emit("queue", 0.0, request_id=5)
+        log.emit("queue", 0.0, request_id=2)
+        log.emit("decode_step", 0.001, step=0)  # run-level
+        log.emit("admit", 0.002, request_id=5)
+        log.emit("complete", 0.003, request_id=2, reason="length")
+        chains = log.chains()
+        assert list(chains) == [2, 5]
+        assert chains == {rid: log.timeline(rid)
+                          for rid in log.request_ids()}
+        assert [e.kind for e in chains[5]] == ["queue", "admit"]
+        assert EventLog().chains() == {}
+
     def test_by_kind_and_span(self):
         log = EventLog()
         assert log.span() == (0.0, 0.0)
